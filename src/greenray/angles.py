@@ -33,6 +33,12 @@ def frac1(x: Fraction) -> Fraction:
     return x - (x // 1)
 
 
+def circ_dist(a: float, b: float) -> float:
+    """Distance between two angles on the circle of length 1."""
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
 def window_measure(window: Window) -> Number:
     return sum((hi - lo) for lo, hi in window)
 

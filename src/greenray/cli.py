@@ -20,9 +20,9 @@ import numpy as np
 
 from . import render
 from .errors import ConfigError, GreenrayError
-from .potential import (GreenSystem, critical_potential, escape_green,
-                        invert_green_coords, skeleton, trace_equipotential,
-                        trace_ray)
+from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
+                        escape_green, invert_green_coords, skeleton,
+                        trace_equipotential, trace_ray)
 from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
                       build_quadratic_pair, convergence_study,
                       quasihyperbolic_displacement, transport_exterior,
@@ -143,14 +143,10 @@ def _structure_from_args(args) -> VirtualStructure:
                             _parse_k(getattr(args, "k", "id") or "id"))
 
 
-def _ring_points(sys: GreenSystem, g: float, n: int, rng=None):
+def _ring_points(sys: GreenSystem, g: float, n: int) -> list[complex]:
     """Exterior sample ring at fixed potential, angles off the access grid."""
-    pts = []
-    for i in range(n):
-        theta = ((i + 0.5) / n + GOLDEN / n *
-                 (rng.random() if rng is not None else 0.5)) % 1.0
-        pts.append(invert_green_coords(sys, (theta, g)))
-    return pts
+    thetas = [((i + 0.5) / n + GOLDEN / n * 0.5) % 1.0 for i in range(n)]
+    return descend_rays_bulk(sys, thetas, g).tolist()
 
 
 # ---------------------------------------------------------------------------

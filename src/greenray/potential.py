@@ -45,6 +45,10 @@ G_FAR = 6.0
 _SUBSTEPS = 12
 # Magnitude beyond which iterates are treated as infinite-precision escapes.
 _HUGE = 1e150
+# Rung x ray elements per block of batched ray descent.  It bounds the
+# working arrays: a 4096-ray descent to 1e-4 G(0) grows peak RSS by 1.9 MB
+# at 2^12, 3.0 MB at 2^13 and 5.9 MB at 2^14, at about the same speed.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -187,52 +191,54 @@ def critical_potential(sys: GreenSystem) -> float:
 # Far-field Böttcher chart
 # ---------------------------------------------------------------------------
 
-def _phi_ratio(c: complex, w: complex) -> complex:
-    """phi(w)/w = prod (1 + c/w_n^2)^(2^-(n+1)), certified at |w| >= e^G_FAR."""
-    log_ratio = 0.0 + 0.0j
-    wn = w
+def _bottcher_log(c: complex, w) -> np.ndarray:
+    """log(phi(w)/w) = sum 2^-(n+1) log(1 + c/w_n^2), elementwise.
+
+    Certified at |w| >= e^G_FAR.  Each element stops at its first term below
+    1e-18 or once its orbit passes _HUGE, so its value does not depend on
+    the rest of the batch.
+    """
+    w = np.asarray(w, dtype=complex)
+    total = np.zeros(w.size, dtype=complex)
+    idx = np.flatnonzero(np.abs(w) < _HUGE)
+    wn = w.ravel()[idx]
     p = 0.5
-    for _ in range(64):
-        if abs(wn) >= _HUGE:
-            break
-        u = c / (wn * wn)
-        if abs(u) > 0.5:
+    while idx.size:
+        sq = wn * wn
+        u = c / sq
+        size = np.abs(u)
+        if (size > 0.5).any():
             raise AngleUnresolved("Böttcher series used below its domain")
-        term = cmath.log(1.0 + u)
-        log_ratio += p * term
-        if p * abs(term) < 1e-18:
-            break
-        wn = wn * wn + c
+        total[idx] += p * np.log1p(u)
+        wn = sq + c
+        live = (p * size >= 1e-18) & (np.abs(wn) < _HUGE)
+        idx, wn = idx[live], wn[live]
         p *= 0.5
-    return cmath.exp(log_ratio)
+    return total.reshape(w.shape)
 
 
 def _theta_far(c: complex, w: complex) -> float:
     """External angle of a far-field point (potential >= G_FAR), in turns."""
-    a = cmath.phase(w)
-    wn = w
-    p = 0.5
-    for _ in range(64):
-        if abs(wn) >= _HUGE:
-            break
-        u = c / (wn * wn)
-        if abs(u) > 0.5:
-            raise AngleUnresolved("Böttcher series used below its domain")
-        corr = cmath.phase(1.0 + u)
-        a += p * corr
-        if p * abs(corr) < 1e-18:
-            break
-        wn = wn * wn + c
-        p *= 0.5
+    a = cmath.phase(w) + float(_bottcher_log(c, w).imag)
     return (a / (2.0 * math.pi)) % 1.0
 
 
-def _far_point(c: complex, theta: float, g: float) -> complex:
-    """Invert the Böttcher chart at high potential (g >= G_FAR - 0.5)."""
-    u = cmath.exp(complex(g, 2.0 * math.pi * theta))
-    w = u
+def _far_points(c: complex, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Invert the Böttcher chart at high potential (g >= G_FAR), elementwise.
+
+    Each element iterates w = u / (phi(w)/w) until it stops moving, at most
+    6 rounds; |c/w^2| is tiny out here, so 3-4 rounds suffice.
+    """
+    u = np.exp(g + 2j * np.pi * theta)
+    w = u.copy()
+    idx = np.arange(w.size)
     for _ in range(6):
-        w = u / _phi_ratio(c, w)
+        w_next = u.flat[idx] / np.exp(_bottcher_log(c, w.flat[idx]))
+        moved = w_next != w.flat[idx]
+        w.flat[idx] = w_next
+        idx = idx[moved]
+        if not idx.size:
+            break
     return w
 
 
@@ -262,8 +268,7 @@ def _near_skeleton(sys: GreenSystem, theta: float, g: float, guard: float) -> bo
     n = 0
     while pot > g - guard and n < 64:
         t = math.ldexp(theta, n + 1) % 1.0
-        d = abs(t - tc)
-        d = min(d, 1.0 - d) / math.ldexp(1.0, n + 1)
+        d = ang.circ_dist(t, tc) / math.ldexp(1.0, n + 1)
         if d <= guard and g <= pot + guard:
             return True
         pot *= 0.5
@@ -295,11 +300,13 @@ def log_bottcher(sys: GreenSystem, z: complex) -> GreenCoordinate:
         t = _theta_far(c, orbit[m])
         for j in range(m - 1, -1, -1):
             half = t / 2.0
-            if half < 0.25:
-                cand_r, cand_l = half, half + 0.5
+            if orbit[j].imag != 0.0 and abs(half - 0.25) < 0.125:
+                # candidates near the rays 1/4 and 3/4, where the sign of Re
+                # is rounding noise: the upper half plane holds (0, 1/2)
+                keep = orbit[j].imag > 0.0
             else:
-                cand_r, cand_l = half + 0.5, half
-            t = cand_l if _real_fold_bit(orbit[j]) else cand_r
+                keep = (half >= 0.25) == _real_fold_bit(orbit[j])
+            t = half if keep else half + 0.5
         theta = t % 1.0
     else:
         # Halve the far angle back along the orbit, resolving each branch by
@@ -315,7 +322,7 @@ def log_bottcher(sys: GreenSystem, z: complex) -> GreenCoordinate:
                     "potential; evaluate at higher potential")
             base = (cmath.phase(w) / (2.0 * math.pi)) % 1.0
             cands = ((theta / 2.0) % 1.0, (theta / 2.0 + 0.5) % 1.0)
-            theta = min(cands, key=lambda t_: _circ_dist(t_, base))
+            theta = min(cands, key=lambda t_: ang.circ_dist(t_, base))
         theta %= 1.0
 
     if _near_skeleton(sys, theta, g, 10.0 * sys.tol):
@@ -324,117 +331,136 @@ def log_bottcher(sys: GreenSystem, z: complex) -> GreenCoordinate:
     return GreenCoordinate(theta, g)
 
 
-def _circ_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
 # ---------------------------------------------------------------------------
 # Ray descent (inverse iteration)
 # ---------------------------------------------------------------------------
 
-def _crash_level(sys: GreenSystem, theta: Fraction) -> int | None:
-    """Level n if theta is a critical access angle (2^(n+1) theta == theta_c).
+def _crash_level(sys: GreenSystem, p: int, q: int) -> int | None:
+    """Level n if p/q (lowest terms) is a critical access angle.
 
-    Doubling strips one factor of 2 from the denominator per step, so tc
-    (even denominator) is only reachable within the 2-adic valuation of
-    theta's denominator.
+    2^(n+1) p/q == a/b (mod 1), for theta_c = a/b in lowest terms with b
+    even, holds iff q = b * 2^(n+1) and p == a (mod b).
     """
     if not sys.is_cantor:
         return None
     tc = sys.critical_value_angle
-    t = ang.frac1(theta)
-    q = t.denominator
-    val2 = (q & -q).bit_length() - 1
-    for n in range(val2):
-        t = ang.frac1(2 * t)
-        if t == tc:
-            return n
-    return None
+    m, rem = divmod(q, tc.denominator)
+    if rem or m < 2 or m & (m - 1) or (p - tc.numerator) % tc.denominator:
+        return None
+    return m.bit_length() - 2
 
 
-def _descend_ray(sys: GreenSystem, theta: Fraction, targets: Sequence[float],
-                 crash_side: int | None = None) -> list[complex]:
-    """Points on the external ray `theta` at the given descending potentials.
+def _ray_angle(sys: GreenSystem, theta, targets: list[float],
+               crash_side: int | None) -> tuple[int, int]:
+    """Exact angle p/q in [0, 1) to descend for one ray.
 
-    Standard inverse-iteration ray tracing: a ladder of potentials with
-    _SUBSTEPS rungs per octave; at each rung the point is pulled back through
-    the tower of doubled angles, choosing square-root branches by proximity
-    to the previous rung's tower.  `crash_side` selects the one-sided limit
-    (+1 counterclockwise) when theta is exactly a critical access angle;
-    None raises RayCrash instead.
+    A critical access angle raises RayCrash when a target sits at its crash
+    potential, or lies below it with `crash_side` None; below it otherwise
+    the angle moves to the one-sided limit on `crash_side` (+1 ccw).
     """
-    c = sys.c
-    tol = sys.tol
-    targets = list(targets)
-    if any(g <= 0.0 for g in targets):
-        raise ValueError("ray potentials must be positive")
-    if any(targets[i] < targets[i + 1] for i in range(len(targets) - 1)):
-        raise ValueError("target potentials must be non-increasing")
-    g_min = targets[-1]
+    t = ang.frac1(theta) if isinstance(theta, Fraction) else float(theta) % 1.0
+    p, q = t.as_integer_ratio()
+    level = _crash_level(sys, p, q)
+    if level is None:
+        return p, q
+    gp = math.ldexp(sys._g0, -level)
+    at_crash = any(abs(g - gp) <= sys.tol for g in targets)
+    if not (at_crash or targets[-1] < gp):
+        return p, q
+    if crash_side is None or at_crash:
+        raise RayCrash(
+            f"ray {Fraction(p, q)} crashes at a level-{level} precritical point",
+            crash_potential=gp, level=level)
+    # one-sided limit: offset by a 2^-30 fraction of the access spacing at
+    # the crash level, on the requested side
+    t = Fraction(p, q) + Fraction(crash_side, 2 ** (level + 32))
+    return ang.frac1(t).as_integer_ratio()
 
-    theta = ang.frac1(Fraction(theta))
-    level = _crash_level(sys, theta)
-    if level is not None:
-        gp = sys._g0 / (2 ** level)
-        if any(abs(g - gp) <= tol for g in targets) or g_min < gp:
-            if crash_side is None or any(abs(g - gp) <= tol for g in targets):
-                raise RayCrash(
-                    f"ray {theta} crashes at a level-{level} precritical point",
-                    crash_potential=gp, level=level)
-            # one-sided limit: offset by a 2^-30 fraction of the access
-            # spacing at the crash level, on the requested side
-            theta = theta + crash_side * Fraction(1, 2 ** (level + 2)) / (1 << 30)
-            theta = ang.frac1(theta)
+
+def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
+             crash_side: int | None) -> np.ndarray:
+    """Points on many external rays at common non-increasing potentials.
+
+    Standard inverse-iteration ray tracing (Kawahira's ladder): a ladder of
+    potentials with _SUBSTEPS rungs per octave; at each rung the point is
+    pulled back through the tower of doubled angles, choosing square-root
+    branches by proximity to the previous rung's tower.  Levels are swept
+    outermost: row r of `w` holds rung r's point at level j, its far point
+    while j == ell[r] and below that the root nearest rung r-1's point, so
+    the branch signs are a running count of flips.  The first root below a
+    far point meets the previous rung's far point at the same level, as ell
+    grows by at most one per rung.  `thetas` are Fractions or floats; the
+    crash rule is `_ray_angle`'s.  Returns shape (len(targets), len(thetas)).
+    """
+    targets = [float(g) for g in targets]
+    if not all(g > 0.0 for g in targets):
+        raise ValueError("potential must be positive")
+    if any(a < b for a, b in zip(targets, targets[1:])):
+        raise ValueError("target potentials must be non-increasing")
+    pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
 
     # ladder of rung potentials: geometric with exact targets inserted
     ratio = 2.0 ** (1.0 / _SUBSTEPS)
     rungs: list[float] = []
-    t_idx = 0
+    at: list[int] = []
     tau = max(targets[0], G_FAR)
-    while True:
-        while t_idx < len(targets) and targets[t_idx] >= tau:
-            if not rungs or targets[t_idx] < rungs[-1]:
-                rungs.append(targets[t_idx])
-            t_idx += 1
-        if t_idx >= len(targets):
-            break
-        if not rungs or tau < rungs[-1]:
-            rungs.append(tau)
-        tau /= ratio
+    for g in targets:
+        while g < tau:
+            if not rungs or tau < rungs[-1]:
+                rungs.append(tau)
+            tau /= ratio
+        if not rungs or g < rungs[-1]:
+            rungs.append(g)
+        at.append(len(rungs) - 1)
+    # each rung starts from its far point at the first level ell >= G_FAR;
+    # ell never decreases down the ladder
+    ell = [0]
+    for t in rungs[1:]:
+        ell.append(ell[-1] + (math.ldexp(t, ell[-1]) < G_FAR))
+    ell = np.array(ell)
+    far_g = np.ldexp(rungs, ell)[:, None]
 
-    def theta_at(j: int) -> float:
-        return float(ang.frac1(theta * (1 << j)))
+    c = sys.c
+    guard = 1e-12 * max(1.0, abs(c))
+    out = np.empty((len(targets), len(pq)), dtype=complex)
+    step = max(1, _CHUNK // len(rungs))
+    for s in range(0, len(pq), step):
+        # frac(2^j theta), correctly rounded, by level and ray
+        angles = np.array([[((p << j) % q) / q for p, q in pq[s:s + step]]
+                           for j in range(ell[-1] + 1)])
+        w = _far_points(c, angles[ell], far_g)
+        hits = []
+        for j in range(ell[-1] - 1, -1, -1):
+            e = np.searchsorted(ell, j, side="right")
+            dz = w[e:] - c
+            # report the first ray's crash at its first rung, top level first
+            hits += [(i, e + r, -j)
+                     for r, i in zip(*np.nonzero(np.abs(dz) <= guard))]
+            root = np.sqrt(dz)
+            prev = np.concatenate((w[e - 1:e], root[:-1]))
+            flips = np.cumsum(np.abs(root - prev) > np.abs(root + prev), axis=0)
+            w[e:] = np.where(flips % 2 == 1, -root, root)
+        if hits:
+            _, r, minus_j = min(hits)
+            raise RayCrash("ray passes through a precritical point",
+                           crash_potential=math.ldexp(rungs[r], -minus_j))
+        out[:, s:s + step] = w[at]
+    return out
 
-    prev_chain: dict[int, complex] = {}
-    out: dict[float, complex] = {}
-    crash_guard = 1e-12 * max(1.0, abs(c))
 
-    for tau in rungs:
-        ell = 0
-        while math.ldexp(tau, ell) < G_FAR:
-            ell += 1
-        chain: dict[int, complex] = {}
-        chain[ell] = _far_point(c, theta_at(ell), math.ldexp(tau, ell))
-        for j in range(ell - 1, -1, -1):
-            wj1 = chain[j + 1]
-            dz = wj1 - c
-            if abs(dz) <= crash_guard:
-                raise RayCrash(
-                    "ray passes through a precritical point",
-                    crash_potential=math.ldexp(tau, j + 1) / 2.0)
-            r = cmath.sqrt(dz)
-            anchor = prev_chain.get(j)
-            if anchor is None:
-                anchor = _far_point(c, theta_at(j), max(math.ldexp(tau, j), G_FAR))
-            if abs(r - anchor) > abs(-r - anchor):
-                r = -r
-            chain[j] = r
-        prev_chain = chain
-        if tau in targets:
-            out[tau] = chain[0]
+def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
+                      g_target: float) -> np.ndarray:
+    """Points at one common potential on many external rays.
 
-    return [out[g] for g in targets]
+    Same conventions as `invert_green_coords`, ray by ray: the
+    counterclockwise one-sided limit at an exact critical access angle below
+    its crash potential, RayCrash at the crash potential or through a
+    precritical point, AngleUnresolved where the Böttcher series leaves its
+    domain.  Each point equals the single-ray result bit for bit.
+    """
+    if g_target > 300.0:
+        raise ValueError("potential too large for the float chart range")
+    return _descend(sys, thetas, [g_target], crash_side=+1)[0]
 
 
 def invert_green_coords(sys: GreenSystem, gc: GreenCoordinate | tuple) -> complex:
@@ -445,15 +471,7 @@ def invert_green_coords(sys: GreenSystem, gc: GreenCoordinate | tuple) -> comple
     exactly at the crash potential RayCrash is raised.
     """
     theta, g = gc
-    if not g > 0.0:
-        raise ValueError("potential must be positive")
-    if g > 300.0:
-        raise ValueError("potential too large for the float chart range")
-    if isinstance(theta, Fraction):
-        th = theta
-    else:
-        th = Fraction(float(theta) % 1.0)
-    return _descend_ray(sys, th, [float(g)], crash_side=+1)[0]
+    return complex(descend_rays_bulk(sys, [theta], g)[0])
 
 
 class RayPoint(NamedTuple):
@@ -474,7 +492,7 @@ def trace_ray(sys: GreenSystem, angle, g_lo: float, g_hi: float,
     pots = [g_hi * ratio ** i for i in range(n_samples)]
     pots[-1] = g_lo
     th = angle if isinstance(angle, Fraction) else Fraction(float(angle) % 1.0)
-    pts = _descend_ray(sys, th, pots, crash_side=None)
+    pts = _descend(sys, [th], pots, crash_side=None)[:, 0].tolist()
     a = float(ang.frac1(th))
     return [RayPoint(p, g, a) for p, g in zip(pts, pots)]
 
@@ -482,20 +500,6 @@ def trace_ray(sys: GreenSystem, angle, g_lo: float, g_hi: float,
 # ---------------------------------------------------------------------------
 # Equipotentials, precritical points, skeleton
 # ---------------------------------------------------------------------------
-
-def _critical_levels_above(sys: GreenSystem, g: float) -> int:
-    """Number of critical potentials strictly above g (0 when connected)."""
-    if not sys.is_cantor:
-        return 0
-    k = 0
-    pot = sys._g0
-    while pot > g:
-        k += 1
-        pot *= 0.5
-        if k > 200:
-            break
-    return k
-
 
 def trace_equipotential(sys: GreenSystem, g: float,
                         n_samples: int) -> list[list[complex]]:
@@ -509,32 +513,23 @@ def trace_equipotential(sys: GreenSystem, g: float,
         raise ValueError("potential must be positive")
     if n_samples < 3:
         raise ValueError("n_samples must be >= 3")
-    if sys.is_cantor:
-        pot = sys._g0
-        for _ in range(200):
-            if abs(g - pot) < sys.tol:
-                raise CriticalLevel(
-                    f"level {g} is critical (within tol of {pot})")
-            if pot < g:
-                break
-            pot *= 0.5
-    k = _critical_levels_above(sys, g)
+    # count the k critical potentials above g; g itself must not be one
+    k, pot = 0, sys._g0
+    while sys.is_cantor and pot > g - sys.tol:
+        if abs(g - pot) < sys.tol:
+            raise CriticalLevel(f"level {g} is critical (within tol of {pot})")
+        k, pot = k + 1, pot * 0.5
+    steps = [Fraction(2 * i + 1, 2 * n_samples) for i in range(n_samples)]
     if k == 0:
-        curves = []
-        pts = [invert_green_coords(sys, (Fraction(2 * i + 1, 2 * n_samples), g))
-               for i in range(n_samples)]
-        return [pts]
+        return [descend_rays_bulk(sys, steps, g).tolist()]
     levels = ang.level_windows(sys.critical_value_angle, k)
     curves = []
     for node in levels[k]:
         origin = ang.entering_access(node.window, node.outer_pair)
         total = ang.window_measure(node.window)
-        pts = []
-        for i in range(n_samples):
-            s = total * Fraction(2 * i + 1, 2 * n_samples)
-            th = ang.frac1(Fraction(ang.invert_position(node.window, origin, s)))
-            pts.append(invert_green_coords(sys, (th, g)))
-        curves.append(pts)
+        thetas = [Fraction(ang.invert_position(node.window, origin, total * s))
+                  for s in steps]
+        curves.append(descend_rays_bulk(sys, thetas, g).tolist())
     return curves
 
 
@@ -608,68 +603,12 @@ def skeleton(sys: GreenSystem, depth: int, arc_samples: int = 24) -> list[Skelet
         g_top = pc.potential
         pots = [g_top * (0.5 ** (3.0 * i / max(arc_samples - 1, 1)))
                 for i in range(1, arc_samples + 1)]
-        plus = _descend_ray(sys, a1, pots, crash_side=+1)
-        minus = _descend_ray(sys, a1, pots, crash_side=-1)
+        plus = _descend(sys, [a1], pots, crash_side=+1)[:, 0].tolist()
+        minus = _descend(sys, [a1], pots, crash_side=-1)[:, 0].tolist()
         poly = tuple(reversed(minus)) + (pc.point,) + tuple(plus)
         arcs.append(SkeletonArc(pc.point, pc.potential, pc.level,
                                 (a1, a2), poly))
     return arcs
-
-
-def _far_points_np(c: complex, thetas: np.ndarray, g: float) -> np.ndarray:
-    u = np.exp(g + 2j * np.pi * thetas)
-    w = u.copy()
-    for _ in range(6):
-        log_ratio = np.zeros_like(w)
-        wn = w
-        p = 0.5
-        for _ in range(8):
-            un = c / (wn * wn)
-            log_ratio = log_ratio + p * np.log1p(un)
-            if p * np.abs(un).max() < 1e-18:
-                break
-            wn = wn * wn + c
-            p *= 0.5
-        w = u / np.exp(log_ratio)
-    return w
-
-
-def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
-                      g_target: float) -> np.ndarray:
-    """Vectorized ray descent: points at one common potential on many rays.
-
-    The rays must avoid critical access angles (no crash detection here);
-    intended for dense boundary sampling and residual grids.
-    """
-    if not g_target > 0.0:
-        raise ValueError("potential must be positive")
-    c = sys.c
-    th = np.mod(np.asarray(thetas, dtype=float), 1.0)
-    ratio = 2.0 ** (1.0 / _SUBSTEPS)
-    rungs = []
-    tau = max(g_target, G_FAR)
-    while tau > g_target:
-        rungs.append(tau)
-        tau /= ratio
-    rungs.append(g_target)
-
-    prev: dict[int, np.ndarray] = {}
-    for tau in rungs:
-        ell = 0
-        while math.ldexp(tau, ell) < G_FAR:
-            ell += 1
-        chain: dict[int, np.ndarray] = {}
-        chain[ell] = _far_points_np(c, np.mod(th * math.ldexp(1.0, ell), 1.0),
-                                    math.ldexp(tau, ell))
-        for j in range(ell - 1, -1, -1):
-            r = np.sqrt(chain[j + 1] - c)
-            a = prev.get(j)
-            if a is None:
-                a = _far_points_np(c, np.mod(th * math.ldexp(1.0, j), 1.0),
-                                   max(math.ldexp(tau, j), G_FAR))
-            chain[j] = np.where(np.abs(r - a) <= np.abs(r + a), r, -r)
-        prev = chain
-    return prev[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,19 +27,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .angles import circ_dist
 from .errors import (CombinatoricsMismatch, Connected, InsideK, RayCrash,
                      TargetRayCrash)
 from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
                         escape_green, invert_green_coords, julia_samples,
-                        log_bottcher, _descend_ray)
+                        log_bottcher, trace_ray)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                          lipschitz_approx_d, lipschitz_approx_k)
 from .tree import build_quadratic_tree
-
-
-def _circ_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
 
 
 def chordal_distance(a: complex, b: complex) -> float:
@@ -91,7 +87,7 @@ def transport_residuals(tm: TransportMap, z: complex) -> tuple[float, float]:
     w = transport_exterior(tm, z)
     gcw = log_bottcher(tm.target, w)
     return (abs(gcw.potential - tm.vs.k(gc.potential)),
-            _circ_dist(gcw.angle, tm.vs.d(gc.angle) % 1.0))
+            circ_dist(gcw.angle, tm.vs.d(gc.angle) % 1.0))
 
 
 def build_quadratic_pair(c: float, c_prime: float, depth: int = 10) -> TransportMap:
@@ -121,8 +117,8 @@ def build_quadratic_pair(c: float, c_prime: float, depth: int = 10) -> Transport
     tb = build_quadratic_tree(tgt, check_depth)
     for na, nb in zip(sorted(ta.nodes.values(), key=lambda n: n.id),
                       sorted(tb.nodes.values(), key=lambda n: n.id)):
-        da = _circ_dist(na.angular_invariant[0], nb.angular_invariant[0])
-        db = _circ_dist(na.angular_invariant[1], nb.angular_invariant[1])
+        da = circ_dist(na.angular_invariant[0], nb.angular_invariant[0])
+        db = circ_dist(na.angular_invariant[1], nb.angular_invariant[1])
         if max(da, db) > max(src.tol, tgt.tol):
             raise CombinatoricsMismatch(
                 f"angular invariants differ at node {na.id}: "
@@ -183,9 +179,7 @@ def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
     if g_a == g_b:
         return DisplacementEstimate(0.0, 0.0, cm.log_bilipschitz, g_a, g_b)
     lo, hi = min(g_a, g_b), max(g_a, g_b)
-    pots = [hi * (lo / hi) ** (i / n_steps) for i in range(n_steps + 1)]
-    theta = Fraction(gc.angle)
-    pts = _descend_ray(cm.system, theta, pots, crash_side=None)
+    pts = [p.point for p in trace_ray(cm.system, gc.angle, lo, hi, n_steps + 1)]
     if boundary is None:
         boundary = julia_samples(cm.system, julia_depth)
     tree = cKDTree(np.c_[np.asarray(boundary).real, np.asarray(boundary).imag])

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greenray.errors import (Connected, CriticalLevel, InsideK, NonFinite,
-                             OnSkeleton, RayCrash)
-from greenray.potential import (GreenSystem, QuadraticParams,
-                                critical_potential, escape_green,
-                                invert_green_coords, julia_samples,
-                                log_bottcher, precritical_points, skeleton,
+from greenray.angles import circ_dist
+from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
+                             InsideK, NonFinite, OnSkeleton, RayCrash)
+from greenray.potential import (GreenSystem, QuadraticParams, _crash_level,
+                                critical_potential, descend_rays_bulk,
+                                escape_green, invert_green_coords,
+                                julia_samples, log_bottcher,
+                                precritical_points, skeleton,
                                 trace_equipotential, trace_ray)
 
 from conftest import green_bruteforce
@@ -239,6 +243,160 @@ def test_trace_ray_validation(sys_m3):
         trace_ray(sys_m3, 0.1, 1.0, 0.5, 4)
     with pytest.raises(ValueError):
         trace_ray(sys_m3, 0.1, 0.5, 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# batched ray descent: the checks of the single-ray path hold ray by ray
+# ---------------------------------------------------------------------------
+
+def test_bulk_raises_at_crash_potential(sys_m3):
+    g0 = critical_potential(sys_m3)
+    with pytest.raises(RayCrash) as exc:
+        descend_rays_bulk(sys_m3, [0.25], g0)
+    assert exc.value.level == 0
+    assert exc.value.crash_potential == g0
+
+
+def test_bulk_one_sided_limit_below_crash(sys_m3):
+    g0 = critical_potential(sys_m3)
+    z = descend_rays_bulk(sys_m3, [Fraction(1, 4)], g0 / 4.0)[0]
+    assert z == invert_green_coords(sys_m3, (Fraction(1, 4), g0 / 4.0))
+    # the counterclockwise limit runs along the upper side of the real gap
+    assert abs(z.real + 0.8158) <= 1e-4 and 0.0 < z.imag < 1e-6
+
+
+def test_bulk_series_domain():
+    # |c/w^2| > 1/2 already at the far potential e^G_FAR
+    with pytest.raises(AngleUnresolved):
+        descend_rays_bulk(GreenSystem.from_c(-1e5), [0.1], 1.0)
+
+
+def test_bulk_crash_guard_through_precritical_point(sys_m3):
+    # 2^-48 off the access 1/4 is no exact access of a level above g0, but
+    # the ray passes within the guard distance of the critical point
+    g0 = critical_potential(sys_m3)
+    theta = 0.25 + 2.0 ** -48
+    with pytest.raises(RayCrash) as single:
+        invert_green_coords(sys_m3, (theta, g0))
+    with pytest.raises(RayCrash) as batch:
+        descend_rays_bulk(sys_m3, [0.3, theta, 0.7], g0)
+    assert single.value.level is None and batch.value.level is None
+    assert batch.value.crash_potential == single.value.crash_potential == g0
+
+
+def test_log_bottcher_far_field_unchanged(sys_m3):
+    # beyond _HUGE the Böttcher correction vanishes: the angle is the phase
+    gc = log_bottcher(sys_m3, 1e300 * cmath.exp(0.5j))
+    assert gc.angle == 0.5 / (2.0 * math.pi)
+    assert gc.potential == math.log(1e300)
+
+
+def _reference_ray(c: complex, theta: float, targets: list[float]) -> list[complex]:
+    """Independent scalar reference: rung-major inverse iteration in cmath.
+
+    Rungs 12 per octave from potential 6 down, with the targets inserted;
+    each rung starts at the Böttcher far point on its first level with
+    potential >= 6 and takes the square root nearest the previous rung's
+    point on the same level.
+    """
+    def far(t: float, g: float) -> complex:
+        u = cmath.exp(complex(g, 2.0 * math.pi * t))
+        w = u
+        for _ in range(8):
+            log_ratio, wn, p = 0j, w, 0.5
+            while abs(wn) < 1e100 and p > 1e-20:
+                log_ratio += p * cmath.log(1.0 + c / (wn * wn))
+                wn, p = wn * wn + c, p / 2.0
+            w = u / cmath.exp(log_ratio)
+        return w
+
+    octaves = math.log2(6.0 / targets[-1])
+    rungs = sorted({6.0 * 2.0 ** (-k / 12.0) for k in range(int(12 * octaves) + 1)}
+                   | set(targets), reverse=True)
+    prev: dict[int, complex] = {}
+    out = {}
+    for tau in rungs:
+        ell = max(0, math.ceil(math.log2(6.0 / tau)))
+        chain = {ell: far(theta * 2.0 ** ell % 1.0, tau * 2.0 ** ell)}
+        for j in range(ell - 1, -1, -1):
+            r = cmath.sqrt(chain[j + 1] - c)
+            a = prev.get(j, far(theta * 2.0 ** j % 1.0, 6.0))
+            chain[j] = r if abs(r - a) <= abs(r + a) else -r
+        prev, out[tau] = chain, chain[0]
+    return [out[g] for g in targets]
+
+
+@pytest.mark.parametrize("c", [-3.0, -1.0, -5.0])
+def test_descent_matches_scalar_reference(c):
+    sys_ = GreenSystem.from_c(c)
+    thetas = np.random.default_rng(1405).random(12)
+    for g in (1.5, 0.3, 0.02):
+        batch = descend_rays_bulk(sys_, thetas, g)
+        ref = np.array([_reference_ray(sys_.c, t, [g])[0] for t in thetas])
+        assert np.max(np.abs(batch - ref)) <= 1e-14
+    for t in thetas[:3]:
+        pts = trace_ray(sys_, t, 0.02, 1.5, 7)
+        ref = _reference_ray(sys_.c, t, [p.potential for p in pts])
+        assert max(abs(p.point - r) for p, r in zip(pts, ref)) <= 1e-14
+
+
+def _doubling_orbit(p: int, q: int) -> list[int]:
+    """Numerators over q of frac(2^(n+1) p/q) for n < bit_length(q).
+
+    Brute force; past the 2-adic valuation of q the denominator is odd and
+    stays odd, so no later doubling can reach an even-denominator angle.
+    """
+    out = []
+    for _ in range(q.bit_length()):
+        p = 2 * p % q
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("tc", [Fraction(1, 2), Fraction(1, 6),
+                                Fraction(3, 10), Fraction(5, 8)])
+def test_crash_level_rule_matches_doubling_oracle(tc):
+    # the critical value angle is the only parameter data the rule reads
+    sys_ = GreenSystem.from_c(-3.0, critical_value_angle=tc)
+    rng = np.random.default_rng(2014)
+    angles = [(p, q) for q in range(1, 513) for p in range(q)
+              if math.gcd(p, q) == 1]
+    angles += [float(x).as_integer_ratio() for x in rng.random(20000)]
+    hits = 0
+    for p, q in angles:
+        orbit = _doubling_orbit(p, q)
+        x, rem = divmod(tc.numerator * q, tc.denominator)
+        expected = orbit.index(x) if rem == 0 and x in orbit else None
+        assert _crash_level(sys_, p, q) == expected, (p, q)
+        hits += expected is not None
+    assert hits > 50
+
+
+@pytest.mark.parametrize("c", [-3.0, -1.0])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_batched_descent_is_per_ray_descent(c, data):
+    sys_ = GreenSystem.from_c(c)
+    g = data.draw(st.floats(min_value=0.005, max_value=2.0), label="g")
+    thetas = data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+        | st.fractions(min_value=0, max_value=1, max_denominator=64),
+        min_size=1, max_size=12), label="thetas")
+    try:
+        single = [invert_green_coords(sys_, (t, g)) for t in thetas]
+    except RayCrash:
+        with pytest.raises(RayCrash):
+            descend_rays_bulk(sys_, thetas, g)
+        return
+    batch = descend_rays_bulk(sys_, thetas, g)
+    assert np.array_equal(batch, np.array(single))
+    for t, z in zip(thetas, single):
+        try:
+            gc = log_bottcher(sys_, z)
+        except OnSkeleton:
+            continue
+        assert abs(gc.potential - g) <= 20.0 * sys_.tol
+        assert circ_dist(gc.angle, float(t) % 1.0) <= 20.0 * sys_.tol
 
 
 # ---------------------------------------------------------------------------
