@@ -3,9 +3,9 @@ for quadratic Julia sets."""
 
 from .errors import (AngleUnresolved, CombinatoricsMismatch, ConfigError,
                      Connected, CriticalLevel, GreenrayError, InsideK,
-                     NonFinite, NotAdmissible, OnSkeleton, OverlappingWindows,
-                     RayCrash, RootHasInfiniteModulus, RootNode, SchemaError,
-                     TargetRayCrash)
+                     InvalidInput, NonFinite, NotAdmissible, OnSkeleton,
+                     OverlappingWindows, RayCrash, RootHasInfiniteModulus,
+                     RootNode, SchemaError, TargetRayCrash)
 from .potential import (GreenCoordinate, GreenSystem, QuadraticParams,
                         critical_potential, escape_green, invert_green_coords,
                         julia_samples, log_bottcher, precritical_points,
@@ -39,8 +39,8 @@ __all__ = [
     "build_quadratic_pair", "continuum_map", "convergence_study",
     "quasihyperbolic_displacement", "transport_exterior",
     "transport_residuals", "transported_boundary_distance",
-    "GreenrayError", "NonFinite", "InsideK", "OnSkeleton", "RayCrash",
-    "CriticalLevel", "Connected", "AngleUnresolved",
+    "GreenrayError", "InvalidInput", "NonFinite", "InsideK", "OnSkeleton",
+    "RayCrash", "CriticalLevel", "Connected", "AngleUnresolved",
     "RootHasInfiniteModulus", "RootNode", "SchemaError",
     "OverlappingWindows", "NotAdmissible", "TargetRayCrash",
     "CombinatoricsMismatch", "ConfigError",

@@ -11,15 +11,20 @@ Conventions:
   * a window is a tuple of (lo, hi) pieces with lo < hi, pieces disjoint,
     stored sorted by lo, never wrapping through 1 (a wrapping arc is stored
     as two pieces);
-  * doubling acts by theta -> frac(2*theta).
+  * doubling acts by theta -> frac(2*theta);
+  * a cell of the window tree has an address of bits: for theta in the
+    cell, bit k names the level-1 arc holding 2^(k-1) theta (arc 0 holds
+    angle 0, the beta fixed point), so doubling maps cell (b,) + s onto
+    cell s.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+from .errors import InvalidInput
 
 Number = Fraction | float
 Piece = tuple[Number, Number]
@@ -65,19 +70,6 @@ def window_contains(window: Window, theta: Number, closed: bool = False) -> bool
     return False
 
 
-def cyclic_contains(window: Window, theta: Number) -> bool:
-    """Interior membership treating the window as a subset of the circle.
-
-    Differs from :func:`window_contains` only at the wrap point: angle 0 is
-    cyclically interior when the window holds both a (0, x) and a (y, 1)
-    piece.
-    """
-    if window_contains(window, theta):
-        return True
-    return theta == 0 and any(hi == 1 for _, hi in window) and \
-        any(lo == 0 for lo, _ in window)
-
-
 def _cyclic_pieces_from(window: Window, start: Number) -> list[Piece]:
     """Pieces in ccw order starting with the piece whose left endpoint is `start`."""
     idx = None
@@ -86,7 +78,7 @@ def _cyclic_pieces_from(window: Window, start: Number) -> list[Piece]:
             idx = i
             break
     if idx is None:
-        raise ValueError("start is not a left endpoint of the window")
+        raise InvalidInput("start is not a left endpoint of the window")
     return list(window[idx:]) + list(window[:idx])
 
 
@@ -100,7 +92,7 @@ def entering_access(window: Window, pair: tuple[Number, Number]) -> Number:
     lefts = {lo for lo, _ in window}
     hits = [a for a in pair if a in lefts]
     if len(hits) != 1:
-        raise ValueError(f"expected exactly one entering access, got {hits}")
+        raise InvalidInput(f"expected exactly one entering access, got {hits}")
     return hits[0]
 
 
@@ -115,7 +107,7 @@ def cumulative_position(window: Window, origin: Number, theta: Number) -> Number
         if lo <= theta <= hi:
             return acc + (theta - lo)
         acc = acc + (hi - lo)
-    raise ValueError("theta is not inside the window")
+    raise InvalidInput("theta is not inside the window")
 
 
 def cumulative_position_d(window: Window, origin: Number, theta: Number,
@@ -131,7 +123,7 @@ def cumulative_position_d(window: Window, origin: Number, theta: Number,
         if lo <= theta <= hi:
             return acc + (d(float(theta)) - d(float(lo)))
         acc += d(float(hi)) - d(float(lo))
-    raise ValueError("theta is not inside the window")
+    raise InvalidInput("theta is not inside the window")
 
 
 def invert_position(window: Window, origin: Number, s: Number) -> Number:
@@ -139,57 +131,13 @@ def invert_position(window: Window, origin: Number, s: Number) -> Number:
     :func:`cumulative_position`)."""
     total = window_measure(window)
     if not (0 <= s <= total):
-        raise ValueError("position outside window measure")
+        raise InvalidInput("position outside window measure")
     for lo, hi in _cyclic_pieces_from(window, origin):
         width = hi - lo
         if s <= width:
             return lo + s
         s = s - width
     return origin  # s == total wraps back to the seam
-
-
-def access_candidates_in(window: Window, theta_c: Fraction, level: int) -> list[Fraction]:
-    """Solutions of 2^(level+1) * theta == theta_c (mod 1) interior to the window."""
-    denom = 2 ** (level + 1)
-    out: list[Fraction] = []
-    for lo, hi in window:
-        # (theta_c + j) / denom in (lo, hi)  <=>  j in (lo*denom - theta_c, hi*denom - theta_c)
-        j_lo = Fraction(lo) * denom - theta_c
-        j_hi = Fraction(hi) * denom - theta_c
-        j = math.floor(j_lo) + 1
-        while j < j_hi:
-            cand = (theta_c + j) / denom
-            if lo < cand < hi:
-                out.append(cand)
-            j += 1
-    return sorted(out)
-
-
-def split_window(window: Window, a: Number, b: Number) -> tuple[Window, Window]:
-    """Cut the cyclically ordered window at interior points a and b.
-
-    Returns (chain from a ccw to b, chain from b ccw to a), both normalized.
-    """
-    if a == b:
-        raise ValueError("split points must be distinct")
-    cut: list[Piece] = []
-    for lo, hi in window:
-        bounds = [lo] + sorted(p for p in (a, b) if lo < p < hi) + [hi]
-        cut.extend(zip(bounds[:-1], bounds[1:]))
-    cut.sort()
-
-    def chain(start: Number, stop: Number) -> Window:
-        i = next(k for k, (lo, _) in enumerate(cut) if lo == start)
-        out: list[Piece] = []
-        for _ in range(len(cut)):
-            lo, hi = cut[i]
-            out.append((lo, hi))
-            if hi == stop or (stop == 0 and hi == 1):
-                return normalize_window(out)
-            i = (i + 1) % len(cut)
-        raise ValueError("split points not interior to the window")
-
-    return chain(a, b), chain(b, a)
 
 
 @dataclass(frozen=True)
@@ -206,19 +154,16 @@ class WindowNode:
         return len(self.address)
 
 
-def _bit0_arc(theta_c: Fraction, arcs: tuple[Window, Window]) -> int:
-    """Index of the arc labelled with itinerary bit 0.
+def _pull_back(window: Window, arcs: Sequence[Window]) -> list[Window]:
+    """The parts of each arc that doubling maps into `window`.
 
-    Bit 0 is the cell of the beta fixed point (external angle 0): the arc
-    whose cyclic interior or left endpoint contains angle 0.
+    The preimage of a piece (lo, hi) under doubling is its two halves
+    (lo/2, hi/2) and ((lo+1)/2, (hi+1)/2).
     """
-    for i, arc in enumerate(arcs):
-        if cyclic_contains(arc, Fraction(0)):
-            return i
-    for i, arc in enumerate(arcs):
-        if any(lo == 0 for lo, _ in arc):
-            return i
-    raise ValueError("no arc contains angle 0")
+    halves = [((lo + k) / 2, (hi + k) / 2) for k in (0, 1) for lo, hi in window]
+    return [normalize_window([(max(lo, a_lo), min(hi, a_hi))
+                              for lo, hi in halves for a_lo, a_hi in arc])
+            for arc in arcs]
 
 
 def level_windows(theta_c: Fraction, depth: int) -> list[list[WindowNode]]:
@@ -231,41 +176,36 @@ def level_windows(theta_c: Fraction, depth: int) -> list[list[WindowNode]]:
     theta_c must not be periodic under angle doubling (i.e. must have even
     denominator in lowest terms), otherwise access angles of different
     levels coincide and the cells are not generic.
+
+    Each level is the previous one pulled back under doubling: the cell
+    (bit,) + s is the part of the level-1 arc A_bit that doubling maps into
+    cell s, and its accesses are the halves of s's accesses lying in A_bit.
     """
     theta_c = frac1(Fraction(theta_c))
     if theta_c.denominator % 2 == 1:
-        raise ValueError(
+        raise InvalidInput(
             "critical value angle is periodic under doubling; "
             "the generic cell structure requires an even denominator")
-    s1 = frac1(Fraction(theta_c, 2))
-    s2 = frac1(s1 + Fraction(1, 2))
-    a, b = sorted((s1, s2))
-    root_split = (a, b)
-    levels: list[list[WindowNode]] = [[WindowNode((), FULL_CIRCLE, None, root_split)]]
-
-    arc_a, arc_b = split_window(FULL_CIRCLE, a, b)
-    arcs = (arc_a, arc_b)
-    i0 = _bit0_arc(theta_c, arcs)
-    bit_arcs = (arcs[i0], arcs[1 - i0])
-
-    def doubled(theta: Fraction, n: int) -> Fraction:
-        return frac1(theta * (2 ** n))
-
+    a = theta_c / 2
+    b = a + Fraction(1, 2)
+    arcs = (((Fraction(0), a), (b, Fraction(1))), ((a, b),))
+    levels: list[list[WindowNode]] = [[WindowNode((), FULL_CIRCLE, None, (a, b))]]
     for n in range(1, depth + 1):
-        layer: list[WindowNode] = []
-        for parent in levels[n - 1]:
-            pa, pb = parent.inner_pair
-            w1, w2 = split_window(parent.window, pa, pb)
-            for w in (w1, w2):
-                probe_lo, probe_hi = w[0]
-                probe = probe_lo + (probe_hi - probe_lo) / 2
-                bit = 0 if cyclic_contains(bit_arcs[0], doubled(probe, n - 1)) else 1
-                cand = access_candidates_in(w, theta_c, n)
-                if len(cand) != 2:
+        prev = {node.address: node for node in levels[n - 1]}
+        layers: tuple[list[WindowNode], ...] = ([], [])
+        for s in levels[n - 1]:
+            # doubling maps each arc one-to-one onto the circle minus
+            # theta_c, so each arc holds one preimage of each access
+            preimages = [(t / 2, (t + 1) / 2) for t in s.inner_pair]
+            for bit, window in enumerate(_pull_back(s.window, arcs)):
+                inner = sorted(h if window_contains(arcs[bit], h) else h1
+                               for h, h1 in preimages)
+                if not all(window_contains(window, t) for t in inner):
                     raise AssertionError(
-                        f"window at level {n} holds {len(cand)} access candidates")
-                layer.append(WindowNode(parent.address + (bit,), w,
-                                        (pa, pb), (cand[0], cand[1])))
-        layer.sort(key=lambda node: node.address)
-        levels.append(layer)
+                        f"level-{n} access is not interior to its window")
+                address = (bit,) + s.address
+                layers[bit].append(WindowNode(address, window,
+                                              prev[address[:-1]].inner_pair,
+                                              (inner[0], inner[1])))
+        levels.append(layers[0] + layers[1])
     return levels

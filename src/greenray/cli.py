@@ -92,7 +92,7 @@ def _read_config(path: str | None) -> dict:
     return out
 
 
-def _build_system(args, cfg: dict, prefix: str = "") -> GreenSystem:
+def _build_system(args, cfg: dict) -> GreenSystem:
     def pick(flag, key, cast, default=None):
         v = getattr(args, flag, None)
         if v is not None:
@@ -101,10 +101,10 @@ def _build_system(args, cfg: dict, prefix: str = "") -> GreenSystem:
             return cast(cfg[key])
         return default
 
-    c_re = pick(f"{prefix}c", "c_re", float)
+    c_re = pick("c", "c_re", float)
     if c_re is None:
         raise ConfigError("parameter c is required (flag or config c_re)")
-    c_im = pick(f"{prefix}c_im", "c_im", float, 0.0)
+    c_im = pick("c_im", "c_im", float, 0.0)
     esc = pick("escape_radius", "escape_radius", float)
     max_iter = int(pick("max_iter", "max_iter", int, 256))
     tol = float(pick("tol", "tol", float, 1e-9))
@@ -155,7 +155,11 @@ def _ring_points(sys: GreenSystem, g: float, n: int) -> list[complex]:
 
 def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
     sys_ = _build_system(args, cfg)
-    x0, x1, y0, y1 = (float(t) for t in args.window.split(","))
+    try:
+        x0, x1, y0, y1 = (float(t) for t in args.window.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--window expects x0,x1,y0,y1, got {args.window!r}") from None
     rows = []
     for j in range(args.ny):
         for i in range(args.nx):
@@ -322,19 +326,18 @@ def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_system_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
-    p.add_argument(f"--{prefix}c", type=float, default=None,
+def _add_system_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--c", type=float, default=None,
                    help="real part of the parameter c")
-    p.add_argument(f"--{prefix}c-im", type=float, default=None, dest=f"{prefix}c_im".replace("-", "_"),
+    p.add_argument("--c-im", type=float, default=None, dest="c_im",
                    help="imaginary part of c (default 0)")
-    if not prefix:
-        p.add_argument("--escape-radius", type=float, default=None,
-                       dest="escape_radius")
-        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--critical-value-angle", default=None,
-                       dest="critical_value_angle",
-                       help="rational like 1/2; required for non-real Cantor c")
+    p.add_argument("--escape-radius", type=float, default=None,
+                   dest="escape_radius")
+    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--critical-value-angle", default=None,
+                   dest="critical_value_angle",
+                   help="rational like 1/2; required for non-real Cantor c")
 
 
 def build_parser() -> argparse.ArgumentParser:

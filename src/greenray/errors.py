@@ -11,6 +11,10 @@ class GreenrayError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInput(GreenrayError, ValueError):
+    """An argument lies outside the documented domain of a function."""
+
+
 class NonFinite(GreenrayError):
     """An input or an orbit iterate overflowed before escape was certified.
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import angles as ang
 from .errors import (AngleUnresolved, Connected, CriticalLevel, InsideK,
-                     NonFinite, OnSkeleton, RayCrash)
+                     InvalidInput, NonFinite, OnSkeleton, RayCrash)
 
 # Potential above which the Böttcher correction series is certified
 # principal-branch safe (|c/w^2| stays tiny along the tail).
@@ -64,11 +64,11 @@ class QuadraticParams:
         if not (cmath.isfinite(self.c)):
             raise NonFinite("parameter c must be finite")
         if self.escape_radius < 2.0 + abs(self.c):
-            raise ValueError("escape_radius must be >= 2 + |c|")
+            raise InvalidInput("escape_radius must be >= 2 + |c|")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InvalidInput("max_iter must be >= 1")
         if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+            raise InvalidInput("tol must be positive")
 
 
 class GreenCoordinate(NamedTuple):
@@ -109,12 +109,12 @@ class GreenSystem:
             if c.imag == 0.0 and c.real < -2.0:
                 cva = Fraction(1, 2)
             else:
-                raise ValueError(
+                raise InvalidInput(
                     "critical_value_angle must be supplied for a Cantor "
                     "parameter off the real ray c < -2")
         cva = ang.frac1(Fraction(cva))
         if cva.denominator % 2 == 1:
-            raise ValueError(
+            raise InvalidInput(
                 "critical value angle periodic under doubling is non-generic "
                 "and unsupported")
         return GreenSystem(params, "cantor", cva, 0.0, g0)
@@ -394,9 +394,9 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
     """
     targets = [float(g) for g in targets]
     if not all(g > 0.0 for g in targets):
-        raise ValueError("potential must be positive")
+        raise InvalidInput("potential must be positive")
     if any(a < b for a, b in zip(targets, targets[1:])):
-        raise ValueError("target potentials must be non-increasing")
+        raise InvalidInput("target potentials must be non-increasing")
     pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
 
     # ladder of rung potentials: geometric with exact targets inserted
@@ -459,7 +459,7 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
     domain.  Each point equals the single-ray result bit for bit.
     """
     if g_target > 300.0:
-        raise ValueError("potential too large for the float chart range")
+        raise InvalidInput("potential too large for the float chart range")
     return _descend(sys, thetas, [g_target], crash_side=+1)[0]
 
 
@@ -485,9 +485,9 @@ def trace_ray(sys: GreenSystem, angle, g_lo: float, g_hi: float,
     """Sample the external ray between two potentials (geometric steps,
     monotonically decreasing from g_hi to g_lo)."""
     if not (0.0 < g_lo < g_hi):
-        raise ValueError("require 0 < g_lo < g_hi")
+        raise InvalidInput("require 0 < g_lo < g_hi")
     if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+        raise InvalidInput("n_samples must be >= 2")
     ratio = (g_lo / g_hi) ** (1.0 / (n_samples - 1))
     pots = [g_hi * ratio ** i for i in range(n_samples)]
     pots[-1] = g_lo
@@ -510,9 +510,9 @@ def trace_equipotential(sys: GreenSystem, g: float,
     window).  The first point is not repeated at the end.
     """
     if not g > 0.0:
-        raise ValueError("potential must be positive")
+        raise InvalidInput("potential must be positive")
     if n_samples < 3:
-        raise ValueError("n_samples must be >= 3")
+        raise InvalidInput("n_samples must be >= 3")
     # count the k critical potentials above g; g itself must not be one
     k, pot = 0, sys._g0
     while sys.is_cantor and pot > g - sys.tol:
@@ -544,7 +544,7 @@ def precritical_points(sys: GreenSystem, depth: int) -> list[PrecriticalPoint]:
     if not sys.is_cantor:
         raise Connected("precritical points of G exist only in the Cantor case")
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise InvalidInput("depth must be >= 0")
     c = sys.c
     out = [PrecriticalPoint(0.0 + 0.0j, sys._g0, 0)]
     layer = [0.0 + 0.0j]

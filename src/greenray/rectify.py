@@ -28,8 +28,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .angles import circ_dist
-from .errors import (CombinatoricsMismatch, Connected, InsideK, RayCrash,
-                     TargetRayCrash)
+from .errors import (CombinatoricsMismatch, Connected, GreenrayError, InsideK,
+                     InvalidInput, RayCrash, TargetRayCrash)
 from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
                         escape_green, invert_green_coords, julia_samples,
                         log_bottcher, trace_ray)
@@ -209,7 +209,7 @@ def boundary_derivative_probe(cm: ContinuumMap, z0: complex,
     """
     radii = list(radii)
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
+        raise InvalidInput("radii must be strictly decreasing")
     out: list[ProbeSample] = []
     for r in radii:
         for j in range(n_directions):
@@ -247,7 +247,7 @@ def convergence_study(tm: TransportMap, n_list: Sequence[int],
     for i, z in enumerate(samples):
         try:
             ref[i] = transport_exterior(tm, z)
-        except Exception:
+        except GreenrayError:
             continue
     rows: list[ConvergenceRow] = []
     for n in n_list:
@@ -261,7 +261,7 @@ def convergence_study(tm: TransportMap, n_list: Sequence[int],
                 continue
             try:
                 w = transport_exterior(tm_n, z)
-            except Exception:
+            except GreenrayError:
                 dropped += 1
                 continue
             sup = max(sup, chordal_distance(w, ref[i]))

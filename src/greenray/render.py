@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .errors import InvalidInput
 from .tree import AnalyticTree
 
 _PALETTE = ("#4878a8", "#58a066", "#c2803d", "#9868a8", "#b05555",
@@ -37,7 +38,7 @@ def tree_cylinder_svg(tree: AnalyticTree, width: int = 900,
     """
     nodes = [n for n in tree.nodes.values() if not n.is_root]
     if not nodes:
-        raise ValueError("tree has no non-root nodes to draw")
+        raise InvalidInput("tree has no non-root nodes to draw")
     g_top = max(n.g_plus for n in nodes)
     g_bot = min(n.g_minus for n in nodes)
     span = math.log(g_top / g_bot) if g_top > g_bot else 1.0
@@ -93,7 +94,7 @@ def plane_svg(curves: Sequence[tuple[Sequence[complex], str, bool]],
     xs = [p.real for poly, _, _ in curves for p in poly]
     ys = [p.imag for poly, _, _ in curves for p in poly]
     if not xs:
-        raise ValueError("nothing to draw")
+        raise InvalidInput("nothing to draw")
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-12)

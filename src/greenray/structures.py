@@ -26,16 +26,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import angles as ang
-from .errors import (NotAdmissible, OverlappingWindows, RootNode, SchemaError)
+from .errors import (InvalidInput, NotAdmissible, OverlappingWindows, RootNode,
+                     SchemaError)
 from .tree import (AnalyticTree, ThinnessReport, TreeNode, angular_invariant,
                    thinness_report)
-
-TWO_PI = 2.0 * math.pi
-
-
-def _as_x(v) -> float:
-    return float(v)
-
 
 @dataclass(frozen=True)
 class CircleCDF:
@@ -54,18 +48,18 @@ class CircleCDF:
     def __post_init__(self):
         bps = tuple((x, float(y)) for x, y in self.breakpoints)
         if len(bps) < 2:
-            raise ValueError("need at least the breakpoints (0,0) and (1,1)")
-        xs = tuple(_as_x(x) for x, _ in bps)
+            raise InvalidInput("need at least the breakpoints (0,0) and (1,1)")
+        xs = tuple(float(x) for x, _ in bps)
         ys = tuple(y for _, y in bps)
         if xs[0] != 0.0 or ys[0] != 0.0:
-            raise ValueError("lift normalization requires d(0) = 0")
+            raise InvalidInput("lift normalization requires d(0) = 0")
         if xs[-1] != 1.0 or ys[-1] != 1.0:
-            raise ValueError("total increase must be 1 (non-atomic probability)")
+            raise InvalidInput("total increase must be 1 (non-atomic probability)")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise ValueError("breakpoint abscissae must be strictly increasing "
-                             "(jumps encode atoms and are forbidden)")
+            raise InvalidInput("breakpoint abscissae must be strictly increasing "
+                               "(jumps encode atoms and are forbidden)")
         if any(ys[i] > ys[i + 1] for i in range(len(ys) - 1)):
-            raise ValueError("circle CDF must be non-decreasing")
+            raise InvalidInput("circle CDF must be non-decreasing")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
@@ -102,7 +96,7 @@ class CircleCDF:
     @property
     def is_identity(self) -> bool:
         return all(self(x) == float(x) for x, _ in self.breakpoints) and \
-            all(y == _as_x(x) for x, y in self.breakpoints)
+            all(y == float(x) for x, y in self.breakpoints)
 
 
 def measure_of(d: CircleCDF, windows: Sequence[tuple]) -> float:
@@ -112,7 +106,7 @@ def measure_of(d: CircleCDF, windows: Sequence[tuple]) -> float:
         if a1 < b0:
             raise OverlappingWindows(f"intervals ({a0},{b0}) and ({a1},{b1}) overlap")
     if pieces and pieces[0][0] < 0.0:
-        raise ValueError("intervals must lie in [0, 1]")
+        raise InvalidInput("intervals must lie in [0, 1]")
     total = 0.0
     for lo, hi in windows:
         total += d(float(hi)) - d(float(lo))
@@ -133,14 +127,14 @@ class PotentialHomeo:
     def __post_init__(self):
         bps = tuple((float(x), float(y)) for x, y in self.breakpoints)
         if len(bps) < 2:
-            raise ValueError("need at least two breakpoints")
+            raise InvalidInput("need at least two breakpoints")
         xs = tuple(x for x, _ in bps)
         ys = tuple(y for _, y in bps)
         if xs[0] != 0.0 or ys[0] != 0.0:
-            raise ValueError("k(0) = 0 is required")
+            raise InvalidInput("k(0) = 0 is required")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)) or \
            any(ys[i] >= ys[i + 1] for i in range(len(ys) - 1)):
-            raise ValueError("k must be strictly increasing")
+            raise InvalidInput("k must be strictly increasing")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
@@ -152,13 +146,13 @@ class PotentialHomeo:
     @staticmethod
     def scaling(lam: float) -> "PotentialHomeo":
         if not lam > 0:
-            raise ValueError("scaling factor must be positive")
+            raise InvalidInput("scaling factor must be positive")
         return PotentialHomeo(((0.0, 0.0), (1.0, lam)))
 
     def __call__(self, y: float) -> float:
         y = float(y)
         if y < 0:
-            raise ValueError("potential homeomorphisms act on [0, inf)")
+            raise InvalidInput("potential homeomorphisms act on [0, inf)")
         if y >= self._xs[-1]:
             x0, x1 = self._xs[-2], self._xs[-1]
             y0, y1 = self._ys[-2], self._ys[-1]
@@ -424,7 +418,7 @@ def lipschitz_approx_k(k: PotentialHomeo, n: int) -> PotentialHomeo:
     on potential ranges covered by the breakpoints as n grows.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n must be >= 1")
     xs, ys = k._xs, k._ys
     out = [(0.0, 0.0)]
     acc = 0.0
@@ -444,7 +438,7 @@ def lipschitz_approx_d(d: CircleCDF, n: int) -> CircleCDF:
     sup |d_n - d| <= F/n, so d_n converges uniformly to d.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n must be >= 1")
     flat_total = sum(hi - lo for lo, hi in d.flat_intervals())
     if flat_total == 0.0:
         return d

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import angles as ang
-from .errors import Connected, RootHasInfiniteModulus, SchemaError
+from .errors import (Connected, InvalidInput, RootHasInfiniteModulus,
+                     SchemaError)
 from .potential import GreenSystem, critical_potential
 
 TWO_PI = 2.0 * math.pi
@@ -139,23 +140,22 @@ def _tree_from_levels(levels: list[list[ang.WindowNode]],
             if not alive(wn.address):
                 continue
             is_end = wn.address in ends
+            measure = float(ang.window_measure(wn.window))
             if n == 0:
                 g_minus, g_plus = g_levels[0], math.inf
                 modulus = math.inf
             else:
                 g_minus, g_plus = g_levels[n], g_levels[n - 1]
-                modulus = (g_plus - g_minus) / (TWO_PI * float(ang.window_measure(wn.window)))
+                modulus = (g_plus - g_minus) / (TWO_PI * measure)
             children: tuple[int, ...] = ()
             if n < depth and not is_end:
-                kids = [ids[wn.address + (b,)] for b in (0, 1)]
-                kids.sort(key=lambda i: i)
-                children = tuple(kids)
+                children = tuple(ids[wn.address + (b,)] for b in (0, 1))
             inner = None if is_end else wn.inner_pair
             nodes[ids[wn.address]] = TreeNode(
                 id=ids[wn.address], depth=n,
                 g_minus=float(g_minus), g_plus=float(g_plus),
                 windows=wn.window,
-                harmonic_measure=float(ang.window_measure(wn.window)),
+                harmonic_measure=measure,
                 modulus=modulus,
                 angular_invariant=angular_invariant(wn.window, wn.outer_pair, inner),
                 outer_accesses=wn.outer_pair,
@@ -176,7 +176,7 @@ def build_quadratic_tree(sys: GreenSystem, depth: int) -> AnalyticTree:
     if not sys.is_cantor:
         raise Connected("analytic trees are built for Cantor parameters")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidInput("depth must be >= 1")
     g0 = critical_potential(sys)
     levels = ang.level_windows(sys.critical_value_angle, depth)
     g_levels = [g0 * 0.5 ** n for n in range(depth + 1)]
@@ -195,11 +195,11 @@ def abstract_binary_tree(g_levels: Sequence[float],
     end vertices (their subtrees are dropped).
     """
     if len(g_levels) < 2:
-        raise ValueError("need at least two potential levels")
+        raise InvalidInput("need at least two potential levels")
     if any(g_levels[i] <= g_levels[i + 1] for i in range(len(g_levels) - 1)):
-        raise ValueError("potential levels must be strictly decreasing")
+        raise InvalidInput("potential levels must be strictly decreasing")
     if g_levels[-1] <= 0:
-        raise ValueError("potential levels must be positive")
+        raise InvalidInput("potential levels must be positive")
     depth = len(g_levels) - 1
     levels = ang.level_windows(theta_c, depth)
     return _tree_from_levels(levels, list(map(float, g_levels)),
@@ -228,9 +228,9 @@ def thinness_report(tree: AnalyticTree, m0: float) -> ThinnessReport:
     branches.  Anything else is reported inconclusive, never refuted.
     """
     if tree.truncation_depth < 2:
-        raise ValueError("thinness needs at least two levels")
+        raise InvalidInput("thinness needs at least two levels")
     if not m0 > 0:
-        raise ValueError("threshold m0 must be positive")
+        raise InvalidInput("threshold m0 must be positive")
     reasons: list[str] = []
     minima: dict[int, float] = {}
     for node in tree.nodes.values():

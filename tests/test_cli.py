@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from greenray.cli import main
 from greenray.structures import VirtualStructure, serialize_structure
 from greenray.tree import deserialize_tree
@@ -107,6 +109,19 @@ def test_config_error(tmp_path, capsys):
     code = run(["--output-dir", tmp_path / "x", "--config", cfg, "green"])
     assert code == 1
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, name", [
+    (["green", "--c", "-3", "--escape-radius", "1"], "InvalidInput"),
+    (["green", "--c", "-3", "--window", "1,2"], "ConfigError"),
+    (["ray", "--c", "-3", "--angle", "1/3", "--g-lo", "0.5", "--g-hi", "0.1"],
+     "InvalidInput"),
+    (["tree", "--c", "-3", "--depth", "0"], "InvalidInput"),
+    (["green", "--c", "1e200"], "InvalidInput"),
+], ids=["escape_radius", "window", "g_range", "depth", "huge_c"])
+def test_invalid_input_maps_to_error_name(tmp_path, capsys, args, name):
+    assert run(["--output-dir", tmp_path / "x", *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name}:")
 
 
 def test_converge_command(tmp_path):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from greenray.errors import CombinatoricsMismatch, Connected, InsideK
+from greenray.errors import (CombinatoricsMismatch, Connected, GreenrayError,
+                             InsideK)
 from greenray.potential import (critical_potential, escape_green,
                                 invert_green_coords, julia_samples,
                                 log_bottcher, trace_equipotential, trace_ray)
@@ -321,6 +322,15 @@ def test_convergence_identity_all_zero(sys_m3):
     rows = convergence_study(tm, [1, 2, 4], ring(sys_m3, 0.5 * g0, 12))
     assert all(r.sup_distance == 0.0 for r in rows)
     assert all(r.dropped_samples == 0 for r in rows)
+
+
+def test_convergence_drops_library_errors_only(sys_0):
+    tm = TransportMap(sys_0, sys_0, VirtualStructure.identity())
+    rows = convergence_study(tm, [1], [0.5 + 0.0j, 2.0 + 0.0j])  # 0.5 in K
+    assert rows[0].dropped_samples == 1
+    with pytest.raises(ValueError) as exc:
+        convergence_study(tm, [1], ["not a point"])
+    assert not isinstance(exc.value, GreenrayError)
 
 
 def test_convergence_pair_exact_once_uncapped():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -182,6 +183,19 @@ def test_serialize_round_trip_byte_stable(tree_m3_d4):
         assert node.windows == other.windows
         assert node.angular_invariant == other.angular_invariant
         assert node.modulus == other.modulus
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: build_quadratic_tree(GreenSystem.from_c(-3.0), 8),
+     "d3302df8163bbcd0f22d3ee37dd0c1528a6372b65bb1ce43696169de9c8d4ba5"),
+    # 5-piece windows, and one end
+    (lambda: abstract_binary_tree([0.5 ** n for n in range(7)], ends=[(0, 1)],
+                                  theta_c=Fraction(3, 10)),
+     "61ced293650b5c5b022884dae5076ecca133cc693c65ac48f24127559a007fe1"),
+], ids=["c-3_depth8", "abstract_3_10_end"])
+def test_serialized_bytes_pinned(build, digest):
+    text = serialize_tree(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_serialize_preserves_exact_rationals(tree_m3_d4):
