@@ -2,9 +2,10 @@
 
 Angle windows (the sets of external angles whose rays cross an annulus of
 the analytic tree) are unions of disjoint arcs with rational endpoints.
-Everything here is exact Fraction arithmetic so that depth-10+ combinatorics
-do not drift; floats enter only when a window produced by a collapse carries
-measured (d-image) endpoints.
+Everything here is exact so that depth-10+ combinatorics do not drift: the
+window tree is computed in integers on one grid Q = q*2^(depth+1) for
+theta_c = p/q and handed out as Fractions; floats enter only when a window
+produced by a collapse carries measured (d-image) endpoints.
 
 Conventions:
   * angles live in [0, 1), increasing counterclockwise;
@@ -29,8 +30,6 @@ from .errors import InvalidInput
 Number = Fraction | float
 Piece = tuple[Number, Number]
 Window = tuple[Piece, ...]
-
-FULL_CIRCLE: Window = ((Fraction(0), Fraction(1)),)
 
 
 def frac1(x: Fraction) -> Fraction:
@@ -64,8 +63,21 @@ def normalize_window(pieces: Sequence[Piece]) -> Window:
 
 
 def window_contains(window: Window, theta: Number, closed: bool = False) -> bool:
+    """Whether theta lies in the window (open pieces, or closed if asked).
+
+    Exact for every mix of Fraction, float and int: theta and the endpoints
+    are compared as integer ratios by cross-multiplication.
+    """
+    try:
+        num, den = theta.as_integer_ratio()
+    except (OverflowError, ValueError):     # inf and nan lie in no window
+        return False
     for lo, hi in window:
-        if (lo < theta < hi) or (closed and (theta == lo or theta == hi)):
+        lo_num, lo_den = lo.as_integer_ratio()
+        hi_num, hi_den = hi.as_integer_ratio()
+        above = num * lo_den - lo_num * den      # sign of theta - lo
+        below = hi_num * den - num * hi_den      # sign of hi - theta
+        if (above > 0 and below > 0) or (closed and (above == 0 or below == 0)):
             return True
     return False
 
@@ -154,16 +166,83 @@ class WindowNode:
         return len(self.address)
 
 
-def _pull_back(window: Window, arcs: Sequence[Window]) -> list[Window]:
-    """The parts of each arc that doubling maps into `window`.
+GridNode = tuple  # (address, window, outer pair, inner pair), ints on the grid
+
+
+def _pull_back(window: Window, arcs: Sequence[Window], grid: int) -> list[Window]:
+    """The parts of each arc that doubling maps into `window`, on the grid.
 
     The preimage of a piece (lo, hi) under doubling is its two halves
-    (lo/2, hi/2) and ((lo+1)/2, (hi+1)/2).
+    (lo/2, hi/2) and ((lo+grid)/2, (hi+grid)/2).
     """
-    halves = [((lo + k) / 2, (hi + k) / 2) for k in (0, 1) for lo, hi in window]
+    halves = [((lo + k) // 2, (hi + k) // 2) for k in (0, grid) for lo, hi in window]
     return [normalize_window([(max(lo, a_lo), min(hi, a_hi))
                               for lo, hi in halves for a_lo, a_hi in arc])
             for arc in arcs]
+
+
+def _interior(window: Window, t: int) -> bool:
+    return any(lo < t < hi for lo, hi in window)
+
+
+def _grid_levels(theta_c: Fraction, depth: int) -> tuple[int, list[list[GridNode]]]:
+    """The window tree of :func:`level_windows` on one integer grid.
+
+    Every endpoint and access down to `depth` is a multiple of 1/Q with
+    Q = q*2^(depth+1) for theta_c = p/q: a level-n access has denominator
+    q*2^(n+1).  Returns Q and the levels, each node an (address, window,
+    outer pair, inner pair) tuple of ints counting units of 1/Q.
+    """
+    theta_c = frac1(Fraction(theta_c))
+    if theta_c.denominator % 2 == 1:
+        raise InvalidInput(
+            "critical value angle is periodic under doubling; "
+            "the generic cell structure requires an even denominator")
+    if depth < 0:
+        raise InvalidInput("depth must be >= 0")
+    grid = theta_c.denominator << (depth + 1)
+    a = theta_c.numerator << depth               # theta_c / 2
+    b = a + grid // 2
+    arcs = (((0, a), (b, grid)), ((a, b),))
+    levels: list[list[GridNode]] = [[((), ((0, grid),), None, (a, b))]]
+    for n in range(1, depth + 1):
+        inner_of = {node[0]: node[3] for node in levels[n - 1]}
+        layers: tuple[list[GridNode], ...] = ([], [])
+        for address, window, _, accesses in levels[n - 1]:
+            # doubling maps each arc one-to-one onto the circle minus
+            # theta_c, so each arc holds one preimage of each access
+            preimages = [(t // 2, (t + grid) // 2) for t in accesses]
+            for bit, cell in enumerate(_pull_back(window, arcs, grid)):
+                inner = sorted(h if _interior(arcs[bit], h) else h1
+                               for h, h1 in preimages)
+                if not all(_interior(cell, t) for t in inner):
+                    raise AssertionError(
+                        f"level-{n} access is not interior to its window")
+                child = (bit,) + address
+                layers[bit].append((child, cell, inner_of[child[:-1]],
+                                    (inner[0], inner[1])))
+        levels.append(layers[0] + layers[1])
+    return grid, levels
+
+
+def _fraction_view(grid: int) -> Callable[[GridNode], WindowNode]:
+    """Maps grid nodes to WindowNodes; equal endpoints share one Fraction."""
+    made: dict[int, Fraction] = {}
+
+    def frac(i: int) -> Fraction:
+        f = made.get(i)
+        if f is None:
+            f = made[i] = Fraction(i, grid)
+        return f
+
+    def pair(p: tuple[int, int] | None) -> tuple[Fraction, Fraction] | None:
+        return None if p is None else (frac(p[0]), frac(p[1]))
+
+    def view(node: GridNode) -> WindowNode:
+        address, window, outer, inner = node
+        return WindowNode(address, tuple(map(pair, window)), pair(outer),
+                          pair(inner))
+    return view
 
 
 def level_windows(theta_c: Fraction, depth: int) -> list[list[WindowNode]]:
@@ -180,32 +259,8 @@ def level_windows(theta_c: Fraction, depth: int) -> list[list[WindowNode]]:
     Each level is the previous one pulled back under doubling: the cell
     (bit,) + s is the part of the level-1 arc A_bit that doubling maps into
     cell s, and its accesses are the halves of s's accesses lying in A_bit.
+    The arithmetic runs on the integer grid of :func:`_grid_levels`.
     """
-    theta_c = frac1(Fraction(theta_c))
-    if theta_c.denominator % 2 == 1:
-        raise InvalidInput(
-            "critical value angle is periodic under doubling; "
-            "the generic cell structure requires an even denominator")
-    a = theta_c / 2
-    b = a + Fraction(1, 2)
-    arcs = (((Fraction(0), a), (b, Fraction(1))), ((a, b),))
-    levels: list[list[WindowNode]] = [[WindowNode((), FULL_CIRCLE, None, (a, b))]]
-    for n in range(1, depth + 1):
-        prev = {node.address: node for node in levels[n - 1]}
-        layers: tuple[list[WindowNode], ...] = ([], [])
-        for s in levels[n - 1]:
-            # doubling maps each arc one-to-one onto the circle minus
-            # theta_c, so each arc holds one preimage of each access
-            preimages = [(t / 2, (t + 1) / 2) for t in s.inner_pair]
-            for bit, window in enumerate(_pull_back(s.window, arcs)):
-                inner = sorted(h if window_contains(arcs[bit], h) else h1
-                               for h, h1 in preimages)
-                if not all(window_contains(window, t) for t in inner):
-                    raise AssertionError(
-                        f"level-{n} access is not interior to its window")
-                address = (bit,) + s.address
-                layers[bit].append(WindowNode(address, window,
-                                              prev[address[:-1]].inner_pair,
-                                              (inner[0], inner[1])))
-        levels.append(layers[0] + layers[1])
-    return levels
+    grid, levels = _grid_levels(theta_c, depth)
+    view = _fraction_view(grid)
+    return [[view(node) for node in layer] for layer in levels]

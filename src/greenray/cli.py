@@ -98,7 +98,7 @@ def _build_system(args, cfg: dict) -> GreenSystem:
         if v is not None:
             return v
         if key in cfg:
-            return cast(cfg[key])
+            return _parse_values(key, cfg[key], cast, (1,))[0]
         return default
 
     c_re = pick("c", "c_re", float)
@@ -111,22 +111,36 @@ def _build_system(args, cfg: dict) -> GreenSystem:
     cva = getattr(args, "critical_value_angle", None)
     kwargs = {}
     if cva is not None:
-        kwargs["critical_value_angle"] = Fraction(cva)
+        kwargs["critical_value_angle"] = _parse_values(
+            "--critical-value-angle", cva, Fraction, (1,))[0]
     return GreenSystem.from_c(complex(c_re, c_im), escape_radius=esc,
                               max_iter=max_iter, tol=tol, **kwargs)
 
 
+def _parse_values(flag: str, text: str, cast, counts=None) -> list:
+    """The comma-separated values of a flag, each made by `cast`.
+
+    A value `cast` rejects, or a count not in `counts`, is a ConfigError.
+    """
+    try:
+        values = [cast(t) for t in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        values = None
+    if values is None or (counts is not None and len(values) not in counts):
+        raise ConfigError(f"cannot parse {flag} value {text!r}")
+    return values
+
+
 def _parse_angle(s: str):
-    if "/" in s:
-        return Fraction(s)
-    return float(s)
+    return _parse_values("--angle", s, Fraction if "/" in s else float, (1,))[0]
 
 
 def _parse_k(value: str) -> PotentialHomeo:
     if value == "id":
         return PotentialHomeo.identity()
     if value.startswith("scale:"):
-        return PotentialHomeo.scaling(float(value.split(":", 1)[1]))
+        return PotentialHomeo.scaling(
+            _parse_values("--k", value.split(":", 1)[1], float, (1,))[0])
     return deserialize_structure(Path(value).read_text()).k
 
 
@@ -155,11 +169,7 @@ def _ring_points(sys: GreenSystem, g: float, n: int) -> list[complex]:
 
 def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
     sys_ = _build_system(args, cfg)
-    try:
-        x0, x1, y0, y1 = (float(t) for t in args.window.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"--window expects x0,x1,y0,y1, got {args.window!r}") from None
+    x0, x1, y0, y1 = _parse_values("--window", args.window, float, (4,))
     rows = []
     for j in range(args.ny):
         for i in range(args.nx):
@@ -291,7 +301,7 @@ def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
     tgt = GreenSystem.from_c(complex(args.target_c, 0.0))
     vs = _structure_from_args(args)
     tm = TransportMap(src, tgt, vs)
-    n_list = [int(s) for s in args.n_list.split(",")]
+    n_list = _parse_values("--n-list", args.n_list, int)
     g = args.ring_g if args.ring_g is not None else \
         (0.5 * critical_potential(src) if src.is_cantor else 0.5)
     samples = _ring_points(src, g, args.samples)
@@ -303,8 +313,8 @@ def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
 def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
     sys_ = _build_system(args, cfg)
     cm = ContinuumMap(sys_, _parse_k(args.k))
-    radii = [float(s) for s in args.radii.split(",")]
-    z0 = complex(*[float(s) for s in args.z0.split(",")])
+    radii = _parse_values("--radii", args.radii, float)
+    z0 = complex(*_parse_values("--z0", args.z0, float, (1, 2)))
     probes = boundary_derivative_probe(cm, z0, radii)
     sink.write_csv("probe_quotients.csv",
                    ["radius", "dir_re", "dir_im", "q_re", "q_im"],

@@ -29,7 +29,7 @@ from . import angles as ang
 from .errors import (InvalidInput, NotAdmissible, OverlappingWindows, RootNode,
                      SchemaError)
 from .tree import (AnalyticTree, ThinnessReport, TreeNode, angular_invariant,
-                   thinness_report)
+                   root_invariant, thinness_report)
 
 @dataclass(frozen=True)
 class CircleCDF:
@@ -372,11 +372,10 @@ def collapse(tree: AnalyticTree, vs: VirtualStructure,
         if inner is None:
             invariant = (0.0, 0.0)
         elif top.is_root:
-            invariant = angular_invariant(new_windows, None, inner)
+            invariant = root_invariant(inner)
         else:
             p1, p2, total = _chain_positions(chain, d)
-            q1, q2 = sorted((p1 / total, p2 / total))
-            invariant = ((-q1) % 1.0, (-q2) % 1.0)
+            invariant = angular_invariant((p1 / total, p2 / total))
 
         nid = next_id[0]
         next_id[0] += 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -61,6 +61,15 @@ class AnalyticTree:
     source: Mapping[str, object]
     truncation_depth: int
     critical_potential: float | None = None
+    _by_depth: Mapping[int, list[TreeNode]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_depth: dict[int, list[TreeNode]] = {}
+        for nid in sorted(self.nodes):
+            node = self.nodes[nid]
+            by_depth.setdefault(node.depth, []).append(node)
+        object.__setattr__(self, "_by_depth", by_depth)
 
     def node(self, nid: int) -> TreeNode:
         return self.nodes[nid]
@@ -70,8 +79,8 @@ class AnalyticTree:
         return self.nodes[self.root_id]
 
     def level(self, depth: int) -> list[TreeNode]:
-        return sorted((n for n in self.nodes.values() if n.depth == depth),
-                      key=lambda n: n.id)
+        """The nodes at `depth`, by id."""
+        return list(self._by_depth.get(depth, ()))
 
     def walk(self) -> Iterable[TreeNode]:
         stack = [self.root_id]
@@ -89,45 +98,49 @@ def node_modulus(node: TreeNode) -> float:
     return (node.g_plus - node.g_minus) / (TWO_PI * node.harmonic_measure)
 
 
-def angular_invariant(windows: ang.Window, outer_pair, inner_pair) -> tuple[float, float]:
-    """Cylinder-model angular invariant of an annulus.
+def angular_invariant(positions: Iterable[float]) -> tuple[float, float]:
+    """Cylinder-model angular invariant of a non-root annulus.
 
     The flat metric of the cylindrical model is extremal for every annulus
-    of an analytic tree, so positions are harmonic-measure offsets from the
-    seam (the glued outer access pair), normalized by the total measure;
-    the invariant components are (seam - access) mod 1, the first access
-    being the first one met counterclockwise from the seam.
+    of an analytic tree, so `positions` are the harmonic-measure offsets of
+    the two inner accesses from the seam (the glued outer access pair),
+    normalized by the total measure; the invariant components are
+    (seam - access) mod 1, the first access being the first one met
+    counterclockwise from the seam.  Ends carry (0, 0).
     """
-    if inner_pair is None:
-        return (0.0, 0.0)
-    if outer_pair is None:
-        # root convention: only the access separation matters
-        delta = (float(inner_pair[0]) - float(inner_pair[1])) % 1.0
-        delta = min(delta, (1.0 - delta) % 1.0)
-        return (delta, (1.0 - delta) % 1.0)
-    origin = ang.entering_access(windows, outer_pair)
-    total = float(ang.window_measure(windows))
-    p1 = float(ang.cumulative_position(windows, origin, inner_pair[0])) / total
-    p2 = float(ang.cumulative_position(windows, origin, inner_pair[1])) / total
-    pmin, pmax = sorted((p1, p2))
+    pmin, pmax = sorted(positions)
     return ((-pmin) % 1.0, (-pmax) % 1.0)
+
+
+def root_invariant(inner_pair) -> tuple[float, float]:
+    """Angular invariant of the root: only the access separation matters."""
+    delta = (float(inner_pair[0]) - float(inner_pair[1])) % 1.0
+    delta = min(delta, (1.0 - delta) % 1.0)
+    return (delta, (1.0 - delta) % 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
 
-def _tree_from_levels(levels: list[list[ang.WindowNode]],
+def _tree_from_levels(grid: int, levels: list[list[ang.GridNode]],
                       g_levels: Sequence[float],
                       source: Mapping[str, object],
                       g0: float | None,
                       ends: frozenset[tuple[int, ...]] = frozenset()) -> AnalyticTree:
+    """Tree of the grid window levels of :func:`angles._grid_levels`.
+
+    Measures and positions are taken on the grid as (C/Q)/(M/Q), the
+    rounding of the Fraction arithmetic they replace; Fractions are made
+    only for the stored windows and accesses.
+    """
     depth = len(levels) - 1
+    view = ang._fraction_view(grid)
     ids: dict[tuple[int, ...], int] = {}
     nid = 0
     for layer in levels:
-        for wn in layer:
-            ids[wn.address] = nid
+        for address, *_ in layer:
+            ids[address] = nid
             nid += 1
 
     # drop descendants of declared ends
@@ -136,11 +149,12 @@ def _tree_from_levels(levels: list[list[ang.WindowNode]],
 
     nodes: dict[int, TreeNode] = {}
     for n, layer in enumerate(levels):
-        for wn in layer:
-            if not alive(wn.address):
+        for node in layer:
+            address, window, outer, inner = node
+            if ends and not alive(address):
                 continue
-            is_end = wn.address in ends
-            measure = float(ang.window_measure(wn.window))
+            is_end = address in ends
+            measure = sum(hi - lo for lo, hi in window) / grid
             if n == 0:
                 g_minus, g_plus = g_levels[0], math.inf
                 modulus = math.inf
@@ -149,17 +163,26 @@ def _tree_from_levels(levels: list[list[ang.WindowNode]],
                 modulus = (g_plus - g_minus) / (TWO_PI * measure)
             children: tuple[int, ...] = ()
             if n < depth and not is_end:
-                children = tuple(ids[wn.address + (b,)] for b in (0, 1))
-            inner = None if is_end else wn.inner_pair
-            nodes[ids[wn.address]] = TreeNode(
-                id=ids[wn.address], depth=n,
+                children = tuple(ids[address + (b,)] for b in (0, 1))
+            wn = view(node)
+            if is_end:
+                invariant = (0.0, 0.0)
+            elif n == 0:
+                invariant = root_invariant(wn.inner_pair)
+            else:
+                origin = ang.entering_access(window, outer)
+                invariant = angular_invariant(
+                    ang.cumulative_position(window, origin, t) / grid / measure
+                    for t in inner)
+            nodes[ids[address]] = TreeNode(
+                id=ids[address], depth=n,
                 g_minus=float(g_minus), g_plus=float(g_plus),
                 windows=wn.window,
                 harmonic_measure=measure,
                 modulus=modulus,
-                angular_invariant=angular_invariant(wn.window, wn.outer_pair, inner),
+                angular_invariant=invariant,
                 outer_accesses=wn.outer_pair,
-                inner_accesses=inner,
+                inner_accesses=None if is_end else wn.inner_pair,
                 children=children,
                 is_end=is_end)
     return AnalyticTree(nodes=nodes, root_id=0, source=dict(source),
@@ -178,10 +201,10 @@ def build_quadratic_tree(sys: GreenSystem, depth: int) -> AnalyticTree:
     if depth < 1:
         raise InvalidInput("depth must be >= 1")
     g0 = critical_potential(sys)
-    levels = ang.level_windows(sys.critical_value_angle, depth)
+    grid, levels = ang._grid_levels(sys.critical_value_angle, depth)
     g_levels = [g0 * 0.5 ** n for n in range(depth + 1)]
     source = {"kind": "quadratic", "c_re": sys.c.real, "c_im": sys.c.imag}
-    return _tree_from_levels(levels, g_levels, source, g0)
+    return _tree_from_levels(grid, levels, g_levels, source, g0)
 
 
 def abstract_binary_tree(g_levels: Sequence[float],
@@ -201,8 +224,8 @@ def abstract_binary_tree(g_levels: Sequence[float],
     if g_levels[-1] <= 0:
         raise InvalidInput("potential levels must be positive")
     depth = len(g_levels) - 1
-    levels = ang.level_windows(theta_c, depth)
-    return _tree_from_levels(levels, list(map(float, g_levels)),
+    grid, levels = ang._grid_levels(theta_c, depth)
+    return _tree_from_levels(grid, levels, list(map(float, g_levels)),
                              {"kind": "abstract"}, None,
                              ends=frozenset(tuple(e) for e in ends))
 

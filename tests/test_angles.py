@@ -2,11 +2,17 @@
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greenray.angles import level_windows
+from greenray.angles import level_windows, window_contains
+from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
+                                 collapse)
+from greenray.tree import abstract_binary_tree
 
 DEPTH = 6
 
@@ -56,3 +62,66 @@ def test_level_windows_match_doubling_oracle(theta_c):
             else:
                 assert node.outer_pair == parents[node.address[:-1]].inner_pair
         parents = {node.address: node for node in layer}
+
+
+# ---------------------------------------------------------------------------
+# window_contains against exact Fraction comparisons
+# ---------------------------------------------------------------------------
+
+def _collapsed_windows() -> list:
+    """Float windows as a collapse makes them: d-images of exact windows."""
+    tree = abstract_binary_tree([0.5 ** n for n in range(5)],
+                                theta_c=Fraction(1, 6))
+    d = CircleCDF(((Fraction(0), 0.0), (Fraction(1, 3), 0.1),
+                   (Fraction(2, 3), 0.7), (Fraction(1), 1.0)))
+    out = collapse(tree, VirtualStructure(d, PotentialHomeo.identity()))
+    return [node.windows for node in out.nodes.values()]
+
+
+# exact windows with endpoints off the binary grid (denominators 3 and 5),
+# and float windows
+WINDOWS = [node.window
+           for theta_c in (Fraction(1, 2), Fraction(1, 6), Fraction(3, 10))
+           for layer in level_windows(theta_c, 5) for node in layer] + \
+    _collapsed_windows()
+
+
+def contains_by_fractions(window, theta, closed: bool) -> bool:
+    t = Fraction(theta)
+    return any((Fraction(lo) < t < Fraction(hi)) or
+               (closed and t in (Fraction(lo), Fraction(hi)))
+               for lo, hi in window)
+
+
+def near(x) -> list:
+    """x, its float and the floats on either side of it."""
+    f = float(x)
+    return [x, f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)]
+
+
+def test_window_contains_exact_at_endpoints():
+    for window in WINDOWS:
+        for theta in (t for piece in window for x in piece for t in near(x)):
+            for closed in (False, True):
+                assert window_contains(window, theta, closed) == \
+                    contains_by_fractions(window, theta, closed), \
+                    (window, theta, closed)
+
+
+@given(window=st.sampled_from(WINDOWS),
+       theta=st.one_of(st.floats(0.0, 1.0), st.fractions(0, 1),
+                       st.integers(-1, 2),
+                       st.sampled_from(WINDOWS).flatmap(
+                           lambda w: st.sampled_from(
+                               [t for piece in w for x in piece
+                                for t in near(x)]))),
+       closed=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_window_contains_matches_fraction_comparison(window, theta, closed):
+    assert window_contains(window, theta, closed) == \
+        contains_by_fractions(window, theta, closed)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_window_contains_rejects_non_finite(theta):
+    assert not window_contains(((Fraction(0), Fraction(1)),), theta, True)

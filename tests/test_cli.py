@@ -118,7 +118,18 @@ def test_config_error(tmp_path, capsys):
      "InvalidInput"),
     (["tree", "--c", "-3", "--depth", "0"], "InvalidInput"),
     (["green", "--c", "1e200"], "InvalidInput"),
-], ids=["escape_radius", "window", "g_range", "depth", "huge_c"])
+    (["ray", "--c", "-3", "--angle", "abc", "--g-lo", "0.1", "--g-hi", "1"],
+     "ConfigError"),
+    (["tree", "--c", "-3", "--depth", "2", "--critical-value-angle", "1/0"],
+     "ConfigError"),
+    (["converge", "--source-c=-3", "--target-c=-5", "--n-list", "1,2.5"],
+     "ConfigError"),
+    (["probe", "--c", "-1", "--radii", "0.1,x"], "ConfigError"),
+    (["probe", "--c", "-1", "--z0", "1,0,2"], "ConfigError"),
+    (["tree", "--c", "-3", "--depth", "2", "--skeleton", "-1"], "InvalidInput"),
+], ids=["escape_radius", "window", "g_range", "depth", "huge_c",
+        "angle", "critical_value_angle", "n_list", "radii", "z0",
+        "skeleton_depth"])
 def test_invalid_input_maps_to_error_name(tmp_path, capsys, args, name):
     assert run(["--output-dir", tmp_path / "x", *args]) == 1
     assert capsys.readouterr().err.startswith(f"error: {name}:")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenray.errors import (NotAdmissible, OverlappingWindows, RootNode,
@@ -13,7 +13,7 @@ from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                                  admissible, collapse, deserialize_structure,
                                  lipschitz_approx_d, lipschitz_approx_k,
                                  measure_of, mod_xi, serialize_structure)
-from greenray.tree import serialize_tree
+from greenray.tree import abstract_binary_tree, serialize_tree
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,6 +291,48 @@ def test_collapse_flat_depth2_window_chain_sum_oracle(tree_m3_d4):
     # binary output, no single-child vertices
     for n in out.nodes.values():
         assert len(n.children) in (0, 2)
+
+
+@st.composite
+def abstract_trees_with_ends(draw):
+    depth = draw(st.integers(3, 6))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=depth,
+                          max_size=depth))
+    g_levels = [0.1 + sum(steps[n:]) for n in range(depth + 1)]
+    ends = draw(st.lists(st.lists(st.integers(0, 1), min_size=1,
+                                  max_size=depth - 1).map(tuple), max_size=3))
+    # an odd numerator over 2^k * odd keeps the denominator even
+    k, m = draw(st.integers(1, 4)), 2 * draw(st.integers(0, 7)) + 1
+    num = 2 * draw(st.integers(0, 2 ** (k - 1) * m - 1)) + 1
+    return abstract_binary_tree(g_levels, ends=ends,
+                                theta_c=Fraction(num, 2 ** k * m))
+
+
+@given(tree=abstract_trees_with_ends(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_collapse_chain_sum_property(tree, data):
+    # flat on one window below level 1: that subtree goes, and its parent
+    # forms a 2-chain with the surviving sibling
+    victims = sorted(n.id for n in tree.nodes.values() if n.depth >= 2)
+    assume(victims)
+    victim = tree.nodes[data.draw(st.sampled_from(victims))]
+    vs = VirtualStructure(flat_on_window(victim.windows),
+                          PotentialHomeo.identity())
+    parent = next(n for n in tree.nodes.values() if victim.id in n.children)
+    sibling = next(tree.nodes[c] for c in parent.children if c != victim.id)
+
+    out = collapse(tree, vs)
+    assert len(out.nodes) == len(tree.nodes) - subtree_size(tree, victim.id) - 1
+    merged = [n for n in out.nodes.values()
+              if n.g_plus == parent.g_plus and n.g_minus == sibling.g_minus]
+    assert len(merged) == 1
+    oracle = mod_xi(parent, vs) + mod_xi(sibling, vs)
+    assert merged[0].modulus == pytest.approx(oracle, rel=1e-12)
+    assert all(len(n.children) in (0, 2) for n in out.nodes.values())
+
+
+def subtree_size(tree, nid) -> int:
+    return 1 + sum(subtree_size(tree, c) for c in tree.nodes[nid].children)
 
 
 def test_collapse_merged_angular_invariant_telescopes(tree_m3_d4):

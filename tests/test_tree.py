@@ -9,6 +9,7 @@ import pytest
 from greenray.errors import Connected, RootHasInfiniteModulus, SchemaError
 from greenray.potential import (GreenSystem, critical_potential,
                                 invert_green_coords)
+from greenray.structures import VirtualStructure, collapse
 from greenray.tree import (TreeNode, abstract_binary_tree,
                            build_quadratic_tree, deserialize_tree,
                            node_modulus, serialize_tree, thinness_report)
@@ -192,10 +193,45 @@ def test_serialize_round_trip_byte_stable(tree_m3_d4):
     (lambda: abstract_binary_tree([0.5 ** n for n in range(7)], ends=[(0, 1)],
                                   theta_c=Fraction(3, 10)),
      "61ced293650b5c5b022884dae5076ecca133cc693c65ac48f24127559a007fe1"),
-], ids=["c-3_depth8", "abstract_3_10_end"])
+    # the benchmark's size
+    (lambda: build_quadratic_tree(GreenSystem.from_c(-3.0), 11),
+     "1bd627eda7a3cc74f246e5319a52dc7e9669ff4b63f8cfdd3dfd68bfdd45a09b"),
+    # a grid with an odd factor: Q = 6 * 2^10
+    (lambda: abstract_binary_tree([0.5 ** n for n in range(10)],
+                                  theta_c=Fraction(1, 6)),
+     "eb78f04a4bf3b8898a2267c46c4afe5ca8a4ebc7fd8530b6a4103a1fbe022e3a"),
+], ids=["c-3_depth8", "abstract_3_10_end", "c-3_depth11", "abstract_1_6_depth9"])
 def test_serialized_bytes_pinned(build, digest):
     text = serialize_tree(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _reversed_records(tree) -> dict:
+    """Tree document with its node records in reverse order."""
+    doc = json.loads(serialize_tree(tree))
+    doc["nodes"].reverse()
+    return doc
+
+
+def _ends_tree():
+    return abstract_binary_tree([0.6 ** n for n in range(6)],
+                                ends=[(1,), (0, 1, 1)], theta_c=Fraction(3, 10))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_quadratic_tree(GreenSystem.from_c(-5.0), 6),
+    _ends_tree,
+    lambda: collapse(_ends_tree(), VirtualStructure.identity()),
+    lambda: deserialize_tree(_reversed_records(_ends_tree())),
+], ids=["quadratic", "abstract_ends", "collapsed", "deserialized"])
+def test_level_is_scan_and_sort(make):
+    tree = make()
+    for depth in range(tree.truncation_depth + 2):
+        scanned = sorted((n for n in tree.nodes.values() if n.depth == depth),
+                         key=lambda n: n.id)
+        got = tree.level(depth)
+        assert len(got) == len(scanned)
+        assert all(a is b for a, b in zip(got, scanned))
 
 
 def test_serialize_preserves_exact_rationals(tree_m3_d4):
