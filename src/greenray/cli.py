@@ -234,9 +234,12 @@ def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
 def _cmd_collapse(args, cfg, sink: ArtifactSink) -> None:
     tree = deserialize_tree(Path(args.tree).read_text())
     vs = _structure_from_args(args)
-    out = collapse(tree, vs, m0=args.m0)
+    rep = None
+    if args.m0 is not None:
+        rep = admissible(tree, vs, args.m0)
+        rep.require_certified()
+    out = collapse(tree, vs)
     sink.write_text("collapsed.json", serialize_tree(out) + "\n")
-    rep = admissible(tree, vs, args.m0) if args.m0 is not None else None
     if rep is not None:
         sink.write_json("admissibility.json", {
             "verdict": rep.verdict,

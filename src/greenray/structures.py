@@ -23,13 +23,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import angles as ang
 from .errors import (InvalidInput, NotAdmissible, OverlappingWindows, RootNode,
                      SchemaError)
-from .tree import (AnalyticTree, ThinnessReport, TreeNode, angular_invariant,
-                   root_invariant, thinness_report)
+from .tree import (AnalyticTree, ThinnessReport, TreeNode, _dec_num, _enc_num,
+                   angular_invariant, root_invariant, thinness_report)
 
 @dataclass(frozen=True)
 class CircleCDF:
@@ -93,13 +93,8 @@ class CircleCDF:
         return max((self._ys[i + 1] - self._ys[i]) / (self._xs[i + 1] - self._xs[i])
                    for i in range(len(self._xs) - 1))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(self(x) == float(x) for x, _ in self.breakpoints) and \
-            all(y == float(x) for x, y in self.breakpoints)
 
-
-def measure_of(d: CircleCDF, windows: Sequence[tuple]) -> float:
+def measure_of(d: Callable[[float], float], windows: Sequence[tuple]) -> float:
     """mu_d mass of a disjoint interval family: sum of d(b) - d(a)."""
     pieces = sorted((float(lo), float(hi)) for lo, hi in windows)
     for (a0, b0), (a1, b1) in zip(pieces, pieces[1:]):
@@ -196,11 +191,15 @@ def mod_xi(node: TreeNode, vs: VirtualStructure) -> float:
     """
     if node.is_root:
         raise RootNode("the root has infinite modulus for every structure")
-    mu = measure_of(vs.d, node.windows)
+    return _weighted_modulus(node, measure_of(vs.d, node.windows), vs.k)
+
+
+def _weighted_modulus(node: TreeNode, mu: float, k: PotentialHomeo) -> float:
+    """mod_xi of a non-root node whose window has mu_d mass `mu`."""
     if mu == 0.0:
         return math.inf
     j1 = node.g_plus - node.g_minus
-    kj1 = vs.k(node.g_plus) - vs.k(node.g_minus)
+    kj1 = k(node.g_plus) - k(node.g_minus)
     return (node.harmonic_measure / mu) * (kj1 / j1) * node.modulus
 
 
@@ -215,6 +214,15 @@ class AdmissibilityReport:
     deleted_subtree_roots: tuple[int, ...]
     min_surviving_mod_xi: float
     thinness: ThinnessReport
+
+    def require_certified(self) -> None:
+        """Raise NotAdmissible unless the verdict is admissible_certified."""
+        if self.verdict != "admissible_certified":
+            raise NotAdmissible(
+                "structure not certified admissible at "
+                f"m0={self.thinness.threshold}: "
+                f"{len(self.offending_branches)} offending branches; "
+                f"thinness {self.thinness.verdict}")
 
 
 def admissible(tree: AnalyticTree, vs: VirtualStructure,
@@ -268,26 +276,31 @@ def admissible(tree: AnalyticTree, vs: VirtualStructure,
 # Combinatorial collapsing
 # ---------------------------------------------------------------------------
 
-def _d_image_window(d: CircleCDF, windows: ang.Window) -> ang.Window:
-    pieces = []
-    for lo, hi in windows:
-        a, b = d(float(lo)), d(float(hi))
-        if b > a:
-            pieces.append((a, b))
-    return ang.normalize_window(pieces)
+_Image = tuple[dict[float, float], float]     # d on a node's points, mu_d mass
 
 
-def _chain_positions(chain: list[TreeNode], d: CircleCDF) -> tuple[float, float, float]:
+def _d_image(d: CircleCDF, node: TreeNode) -> _Image:
+    """d at the node's window endpoints and accesses, and its mu_d mass.
+
+    The one place collapse evaluates d, once per annulus.
+    """
+    points = [x for piece in node.windows for x in piece]
+    points += [*(node.outer_accesses or ()), *(node.inner_accesses or ())]
+    image = {x: d(x) for x in set(map(float, points))}
+    return image, measure_of(image.__getitem__, node.windows)
+
+
+def _chain_positions(chain: list[TreeNode], d: Callable[[float], float],
+                     total: float) -> tuple[float, float]:
     """Normalized mu_d positions of the bottom inner accesses in the top window.
 
-    Returns (p_first, p_second, total) where positions are measured from the
-    entering outer access of the top annulus; also checks that the per-level
+    Positions are measured from the entering outer access of the top
+    annulus, whose mu_d mass is `total`; also checks that the per-level
     summation of link offsets telescopes to the same positions (to 1e-12),
     the two classical expressions for the merged invariant.
     """
     top, bot = chain[0], chain[-1]
     origin = ang.entering_access(top.windows, top.outer_accesses)
-    total = measure_of(d, top.windows)
     b1, b2 = bot.inner_accesses
     direct = [ang.cumulative_position_d(top.windows, origin, b, d) for b in (b1, b2)]
 
@@ -311,7 +324,7 @@ def _chain_positions(chain: list[TreeNode], d: CircleCDF) -> tuple[float, float,
             raise AssertionError(
                 "telescoped and summed angular invariants disagree: "
                 f"{sd / total} vs {sm / total}")
-    return direct[0], direct[1], total
+    return direct[0] / total, direct[1] / total
 
 
 def collapse(tree: AnalyticTree, vs: VirtualStructure,
@@ -323,67 +336,68 @@ def collapse(tree: AnalyticTree, vs: VirtualStructure,
     window through k, angle data through d), and returns a binary tree.
     When m0 is given the structure is first certified admissible at that
     threshold; otherwise the caller vouches for admissibility.
+
+    Each annulus is mapped through d once, by :func:`_d_image`, and its
+    image is handed down the recursion.
     """
     d, k = vs.d, vs.k
     if m0 is not None:
-        rep = admissible(tree, vs, m0)
-        if rep.verdict != "admissible_certified":
-            raise NotAdmissible(
-                f"structure not certified admissible at m0={m0}: "
-                f"{len(rep.offending_branches)} offending branches; "
-                f"thinness {rep.thinness.verdict}")
+        admissible(tree, vs, m0).require_certified()
 
-    def survives(node: TreeNode) -> bool:
-        return node.is_root or measure_of(d, node.windows) > 0.0
+    def alive_children(node: TreeNode) -> list[tuple[TreeNode, _Image]]:
+        kids = [tree.nodes[c] for c in node.children]
+        images = [_d_image(d, kid) for kid in kids]
+        alive = [(kid, image) for kid, image in zip(kids, images)
+                 if image[1] > 0.0]
+        if kids and not alive and not node.is_root:
+            raise AssertionError(
+                "both children deleted under a surviving vertex")
+        return alive
 
     new_nodes: dict[int, TreeNode] = {}
     next_id = [0]
 
-    def build(old_id: int, new_depth: int) -> int:
-        chain = [tree.nodes[old_id]]
-        while True:
-            kids = [tree.nodes[c] for c in chain[-1].children]
-            alive = [kid for kid in kids if survives(kid)]
-            if kids and not alive and not chain[-1].is_root:
-                raise AssertionError(
-                    "both children deleted under a surviving vertex")
-            if len(alive) == 1:
-                chain.append(alive[0])
-                continue
-            break
-        top, bot = chain[0], chain[-1]
+    def build(top: TreeNode, image: _Image, new_depth: int) -> int:
+        chain = [(top, image)]
+        alive = alive_children(top)
+        while len(alive) == 1:
+            chain.append(alive[0])
+            alive = alive_children(alive[0][0])
+        bot = chain[-1][0]
+        # d on the points of the whole chain, read from its images
+        d_chain = {x: dx for _, (points, _) in chain
+                   for x, dx in points.items()}.__getitem__
 
-        new_windows = _d_image_window(d, top.windows)
-        mu = measure_of(d, top.windows)
+        mu = image[1]
+        new_windows = ang.normalize_window(
+            [(d_chain(float(lo)), d_chain(float(hi))) for lo, hi in top.windows])
         if top.is_root:
             g_plus = math.inf
             modulus = math.inf
         else:
             g_plus = k(top.g_plus)
             modulus = 0.0
-            for a in chain:
-                modulus += mod_xi(a, vs)
+            for a, (_, mu_a) in chain:
+                modulus += _weighted_modulus(a, mu_a, k)
         g_minus = k(bot.g_minus)
 
-        outer = None if top.is_root else tuple(d(float(x)) for x in top.outer_accesses)
+        outer = None if top.is_root else \
+            tuple(d_chain(float(x)) for x in top.outer_accesses)
         inner = None if bot.inner_accesses is None else \
-            tuple(d(float(x)) for x in bot.inner_accesses)
+            tuple(d_chain(float(x)) for x in bot.inner_accesses)
 
         if inner is None:
             invariant = (0.0, 0.0)
         elif top.is_root:
             invariant = root_invariant(inner)
         else:
-            p1, p2, total = _chain_positions(chain, d)
-            invariant = angular_invariant((p1 / total, p2 / total))
+            invariant = angular_invariant(_chain_positions(
+                [a for a, _ in chain], d_chain, mu))
 
         nid = next_id[0]
         next_id[0] += 1
-        kid_ids = []
-        if bot.children:
-            alive = [c for c in bot.children if survives(tree.nodes[c])]
-            for cid in alive:
-                kid_ids.append(build(cid, new_depth + 1))
+        kid_ids = [build(kid, kid_image, new_depth + 1)
+                   for kid, kid_image in alive]
         new_nodes[nid] = TreeNode(
             id=nid, depth=new_depth,
             g_minus=g_minus, g_plus=g_plus,
@@ -398,7 +412,8 @@ def collapse(tree: AnalyticTree, vs: VirtualStructure,
         return nid
 
     # ids are assigned pre-order; re-root at the first assigned id
-    root_new = build(tree.root_id, 0)
+    root = tree.nodes[tree.root_id]
+    root_new = build(root, _d_image(d, root), 0)
     depth_max = max(n.depth for n in new_nodes.values())
     source = {"kind": "collapsed", "base": dict(tree.source)}
     return AnalyticTree(nodes=new_nodes, root_id=root_new, source=source,
@@ -464,26 +479,10 @@ def lipschitz_approx_d(d: CircleCDF, n: int) -> CircleCDF:
 _SCHEMA = "greenray-structure/1"
 
 
-def _enc_x(x) -> object:
-    if isinstance(x, Fraction):
-        return [x.numerator, x.denominator]
-    return float(x)
-
-
-def _dec_x(v, what: str):
-    if isinstance(v, list):
-        if len(v) != 2 or not all(isinstance(t, int) for t in v):
-            raise SchemaError(f"bad rational in {what}")
-        return Fraction(v[0], v[1])
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise SchemaError(f"bad number in {what}")
-
-
 def structure_to_dict(vs: VirtualStructure) -> dict:
     return {
         "schema": _SCHEMA,
-        "d": [[_enc_x(x), y] for x, y in vs.d.breakpoints],
+        "d": [[_enc_num(x), y] for x, y in vs.d.breakpoints],
         "k": [[x, y] for x, y in vs.k.breakpoints],
     }
 
@@ -501,7 +500,7 @@ def deserialize_structure(data: str | dict) -> VirtualStructure:
     if not isinstance(data, dict) or data.get("schema") != _SCHEMA:
         raise SchemaError("not a greenray structure document")
     try:
-        d = CircleCDF(tuple((_dec_x(x, "d"), float(y)) for x, y in data["d"]))
+        d = CircleCDF(tuple((_dec_num(x, "d"), float(y)) for x, y in data["d"]))
         k = PotentialHomeo(tuple((float(x), float(y)) for x, y in data["k"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed structure document: {exc}") from None

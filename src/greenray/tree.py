@@ -71,9 +71,6 @@ class AnalyticTree:
             by_depth.setdefault(node.depth, []).append(node)
         object.__setattr__(self, "_by_depth", by_depth)
 
-    def node(self, nid: int) -> TreeNode:
-        return self.nodes[nid]
-
     @property
     def root(self) -> TreeNode:
         return self.nodes[self.root_id]
@@ -81,14 +78,6 @@ class AnalyticTree:
     def level(self, depth: int) -> list[TreeNode]:
         """The nodes at `depth`, by id."""
         return list(self._by_depth.get(depth, ()))
-
-    def walk(self) -> Iterable[TreeNode]:
-        stack = [self.root_id]
-        while stack:
-            nid = stack.pop()
-            node = self.nodes[nid]
-            yield node
-            stack.extend(reversed(node.children))
 
 
 def node_modulus(node: TreeNode) -> float:
@@ -281,6 +270,10 @@ _SCHEMA = "greenray-tree/1"
 
 
 def _enc_num(x) -> object:
+    """JSON number codec of the tree and structure schemas.
+
+    A Fraction is [numerator, denominator] and inf is null.
+    """
     if isinstance(x, Fraction):
         return [x.numerator, x.denominator]
     x = float(x)
@@ -291,7 +284,7 @@ def _enc_num(x) -> object:
 
 def _dec_num(v, what: str):
     if isinstance(v, list):
-        if len(v) != 2 or not all(isinstance(t, int) for t in v):
+        if len(v) != 2 or not all(isinstance(t, int) for t in v) or v[1] == 0:
             raise SchemaError(f"bad rational in {what}")
         return Fraction(v[0], v[1])
     if v is None:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import greenray.cli
+import greenray.structures
 from greenray.cli import main
 from greenray.structures import VirtualStructure, serialize_structure
 from greenray.tree import deserialize_tree
@@ -52,6 +54,36 @@ def test_collapse_identity_cli(tmp_path):
     assert mods_a == mods_b
     adm = json.loads((out / "admissibility.json").read_text())
     assert adm["verdict"] == "admissible_certified"
+
+
+def test_collapse_certifies_once(tmp_path, capsys, monkeypatch):
+    t = tmp_path / "t"
+    assert run(["--output-dir", t, "tree", "--c", "-3", "--depth", "3"]) == 0
+    calls = []
+    admissible = greenray.structures.admissible
+
+    def counted(*args):
+        calls.append(args)
+        return admissible(*args)
+
+    monkeypatch.setattr(greenray.cli, "admissible", counted)
+    monkeypatch.setattr(greenray.structures, "admissible", counted)
+    out = tmp_path / "c"
+    assert run(["--output-dir", out, "collapse", "--tree", t / "tree.json",
+                "--m0", "0.03"]) == 0
+    assert len(calls) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {a["path"] for a in manifest["artifacts"]} == \
+        {"collapsed.json", "admissibility.json"}
+
+    calls.clear()
+    bad = tmp_path / "bad"
+    assert run(["--output-dir", bad, "collapse", "--tree", t / "tree.json",
+                "--m0", "5"]) == 1
+    assert len(calls) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: NotAdmissible: structure not certified admissible at m0=5.0:")
+    assert list(bad.iterdir()) == []
 
 
 def test_rectify_identity_residuals(tmp_path):

@@ -64,6 +64,20 @@ def test_green_functional_equation_random(c):
         checked += 1
 
 
+@pytest.mark.parametrize("c", [-3.0, -1.0, 0.0])
+@given(x=st.floats(-4.0, 4.0), y=st.floats(-4.0, 4.0))
+@settings(max_examples=100, deadline=None)
+def test_green_functional_equation_within_bounds(c, x, y):
+    # G(f(z)) = 2 G(z) within the returned bounds; the bounds cover the
+    # harmonic tail, not the rounding of the final log, so one ulp of
+    # G(f(z)) is added (at c = 0 the tail, and so the bound, is 0)
+    sys_ = GreenSystem.from_c(c)
+    z = complex(x, y)
+    g, err = escape_green(sys_, z)
+    gf, err_f = escape_green(sys_, z * z + c)
+    assert abs(gf - 2.0 * g) <= err_f + 2.0 * err + math.ulp(gf)
+
+
 @pytest.mark.parametrize("c", [0.0, -3.0, -5.0])
 def test_capacity_robin(c):
     # monic capacity 1: G(R) - log R -> 0; at R = 1e3 the genuine harmonic

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from greenray.errors import (CombinatoricsMismatch, Connected, GreenrayError,
                              InsideK)
@@ -144,6 +146,25 @@ def test_pair_residuals(sys_m3):
         pr, ar = transport_residuals(tm, z)
         assert pr <= 20.0 * tm.tol
         assert ar <= 20.0 * tm.tol
+
+
+@pytest.fixture(scope="module")
+def pair_m3_m5():
+    return build_quadratic_pair(-3.0, -5.0)
+
+
+@given(theta=st.floats(0.0, 1.0, exclude_max=True), u=st.floats(0.2, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_pair_residuals_property(pair_m3_m5, theta, u):
+    # away from the skeleton: for g >= G(0)/5 the critical rays are those
+    # of the level-0..2 accesses, odd multiples of 1/4, 1/8 and 1/16
+    assume(abs(16.0 * theta - round(16.0 * theta)) > 1e-6)
+    tm = pair_m3_m5
+    g = critical_potential(tm.source) * u
+    z = invert_green_coords(tm.source, (theta, g))
+    pr, ar = transport_residuals(tm, z)
+    assert pr <= 20.0 * tm.tol
+    assert ar <= 20.0 * tm.tol
 
 
 def test_pair_equipotential_image_is_equipotential():

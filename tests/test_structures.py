@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,7 +15,9 @@ from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                                  admissible, collapse, deserialize_structure,
                                  lipschitz_approx_d, lipschitz_approx_k,
                                  measure_of, mod_xi, serialize_structure)
-from greenray.tree import abstract_binary_tree, serialize_tree
+from greenray.potential import GreenSystem
+from greenray.tree import (AnalyticTree, TreeNode, abstract_binary_tree,
+                           build_quadratic_tree, serialize_tree)
 
 TWO_PI = 2.0 * math.pi
 
@@ -395,6 +399,127 @@ def test_collapsed_tree_serializes(tree_m3_d4):
     assert serialize_tree(deserialize_tree(s)) == s
 
 
+@pytest.fixture(scope="module")
+def tree_m3_d11():
+    return build_quadratic_tree(GreenSystem.from_c(-3.0), 11)
+
+
+@pytest.fixture(scope="module")
+def tree_m5_d8():
+    return build_quadratic_tree(GreenSystem.from_c(-5.0), 8)
+
+
+def _collapsed_base():
+    tree = build_quadratic_tree(GreenSystem.from_c(-5.0), 8)
+    return collapse(tree, VirtualStructure(
+        flat_on_window(tree.level(3)[0].windows), PotentialHomeo.scaling(1.7)))
+
+
+def _flat_at(level, index, k):
+    return lambda t: VirtualStructure(flat_on_window(t.level(level)[index].windows), k)
+
+
+# sha256 of serialize_tree(collapse(tree, structure)), taken before collapse
+# mapped each annulus through d once; a string names a tree fixture
+@pytest.mark.parametrize("tree, structure, digest", [
+    ("tree_m3_d11", lambda t: VirtualStructure.identity(),
+     "372428404c78e4328b66614afd2105a479440947b89125f1781705f5cba75281"),
+    ("tree_m5_d8", _flat_at(1, 0, PotentialHomeo.scaling(1.7)),
+     "24a5a694af24a8ea74716c3f8aff4369b8531c27487f6fa3f987480d6961059a"),
+    ("tree_m5_d8", _flat_at(5, 0, PotentialHomeo.scaling(1.7)),
+     "7321754797d11f05d734b7cbe7cf1c85d461662feb99c896dfc3dfa551d3e9ee"),
+    ("tree_m5_d8", lambda t: VirtualStructure(STAIRCASE, PotentialHomeo.identity()),
+     "9f171f28f3f37f19152a865f8c94839f493fefc9b6d08a03579dc9404a1307a3"),
+    (lambda: abstract_binary_tree([0.6 ** n for n in range(6)],
+                                  ends=[(1,), (0, 1, 1)],
+                                  theta_c=Fraction(3, 10)),
+     _flat_at(2, 1, PotentialHomeo.scaling(1.7)),
+     "360ddd3f4fa6d05d64c2dcc4e8f84e84a7cd4988997d5d8907c9d162da04bf1b"),
+    (_collapsed_base, _flat_at(4, 2, PotentialHomeo.scaling(1.5)),
+     "2b1ccef522ffd943d3aaf00829442dc373250c9900f93c9898c57748a5368dc4"),
+    (_collapsed_base, lambda t: VirtualStructure(STAIRCASE,
+                                                 PotentialHomeo.scaling(1.5)),
+     "aaf2a32dacd3c710facab11a36d5174db3b07a463068cdd1dd26702a1165987c"),
+], ids=["identity_m3_d11", "flat1_m5_d8", "flat5_m5_d8", "staircase_m5_d8",
+        "abstract_ends_flat2", "collapsed_flat4", "collapsed_staircase"])
+def test_collapse_bytes_pinned(request, tree, structure, digest):
+    tree = request.getfixturevalue(tree) if isinstance(tree, str) else tree()
+    text = serialize_tree(collapse(tree, structure(tree)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _hand_tree(kid_windows, grandkid_windows=None) -> AnalyticTree:
+    """Root over [0, 1] and two children, built without validation; the
+    first child gets two children of its own when `grandkid_windows` is
+    given."""
+    def node(nid, depth, windows, children=()):
+        (lo, a), (b, hi) = windows[0], windows[-1]
+        return TreeNode(id=nid, depth=depth, g_minus=1.0 / 2 ** depth,
+                        g_plus=math.inf if depth == 0 else 2.0 / 2 ** depth,
+                        windows=windows, harmonic_measure=0.5,
+                        modulus=1.0, angular_invariant=(0.5, 0.5),
+                        outer_accesses=None if depth == 0 else (lo, hi),
+                        inner_accesses=((lo + a) / 2, (b + hi) / 2),
+                        children=children)
+    nodes = {0: node(0, 0, ((0.0, 1.0),), (1, 2)),
+             1: node(1, 1, kid_windows[0], (3, 4) if grandkid_windows else ()),
+             2: node(2, 1, kid_windows[1])}
+    if grandkid_windows:
+        nodes[3] = node(3, 2, grandkid_windows[0])
+        nodes[4] = node(4, 2, grandkid_windows[1])
+    return AnalyticTree(nodes=nodes, root_id=0, source={"kind": "abstract"},
+                        truncation_depth=2 if grandkid_windows else 1)
+
+
+def test_collapse_rejects_overlapping_pieces():
+    tree = _hand_tree((((0.0, 0.3), (0.2, 0.5)), ((0.5, 1.0),)))
+    with pytest.raises(OverlappingWindows):
+        collapse(tree, VirtualStructure.identity())
+
+
+def test_collapse_measures_pieces_in_stored_order():
+    # the first child's pieces are stored unsorted, and summing their
+    # lengths in that order rounds differently from summing them sorted
+    window = ((0.86, 0.99), (0.19, 0.56), (0.64, 0.84))
+    tree = _hand_tree((window, ((0.0, 0.19),)))
+    vs = VirtualStructure.identity()
+    mass = measure_of(vs.d, window)
+    assert mass != measure_of(vs.d, sorted(window))
+    assert collapse(tree, vs).nodes[1].harmonic_measure == mass
+
+
+def test_collapse_rejects_surviving_vertex_without_children():
+    # a hand-built child whose children do not cover its window, and a d
+    # flat on both of them
+    tree = _hand_tree((((0.0, 0.5),), ((0.5, 1.0),)),
+                      (((0.0, 0.1),), ((0.1, 0.2),)))
+    vs = VirtualStructure(flat_on_window([(0, Fraction(1, 5))]),
+                          PotentialHomeo.identity())
+    with pytest.raises(AssertionError, match="both children deleted"):
+        collapse(tree, vs)
+
+
+def test_collapse_checks_telescoping(tree_m3_d4):
+    # the sibling merges into its parent; giving it another entering access
+    # shifts its own offsets, so the summed positions disagree with the
+    # direct ones
+    victim = tree_m3_d4.level(2)[0]
+    parent = next(n for n in tree_m3_d4.nodes.values()
+                  if victim.id in n.children)
+    sibling = next(tree_m3_d4.nodes[c] for c in parent.children
+                   if c != victim.id)
+    (lo0, _), (lo1, hi1) = sibling.windows
+    assert sibling.outer_accesses[0] == lo0
+    moved = dataclasses.replace(sibling, outer_accesses=(lo1, hi1))
+    tree = dataclasses.replace(tree_m3_d4,
+                               nodes={**tree_m3_d4.nodes, sibling.id: moved})
+    vs = VirtualStructure(flat_on_window(victim.windows),
+                          PotentialHomeo.identity())
+    collapse(tree_m3_d4, vs)
+    with pytest.raises(AssertionError, match="telescoped"):
+        collapse(tree, vs)
+
+
 # ---------------------------------------------------------------------------
 # lipschitz approximations
 # ---------------------------------------------------------------------------
@@ -447,10 +572,28 @@ def test_structure_round_trip():
     assert vs2.k.breakpoints == vs.k.breakpoints
 
 
+def test_structure_bytes_pinned():
+    vs = VirtualStructure(STAIRCASE, PotentialHomeo.scaling(1.5))
+    assert hashlib.sha256(serialize_structure(vs).encode()).hexdigest() == \
+        "4557b7a2676e414982bc047b7e2aafc4b02c076787d1e2b93aaea87343309745"
+
+
 def test_structure_rejects_malformed():
     with pytest.raises(SchemaError):
         deserialize_structure("{}")
     with pytest.raises(SchemaError):
         deserialize_structure({"schema": "greenray-structure/1",
                                "d": [[0.0, 0.0], [0.5, 0.2]],
+                               "k": [[0.0, 0.0], [1.0, 1.0]]})
+
+
+@pytest.mark.parametrize("x", [None, [1, 2, 3], [1, 0], "0.5"],
+                         ids=["null", "long_rational", "zero_denominator",
+                              "string"])
+@pytest.mark.parametrize("at", [0, 1])
+def test_structure_rejects_malformed_number(x, at):
+    d = [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
+    d[at][0] = x
+    with pytest.raises(SchemaError):
+        deserialize_structure({"schema": "greenray-structure/1", "d": d,
                                "k": [[0.0, 0.0], [1.0, 1.0]]})

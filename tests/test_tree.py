@@ -261,6 +261,13 @@ def test_deserialize_rejects_modulus_mismatch(tree_m3_d4):
         deserialize_tree(doc)
 
 
+def test_deserialize_rejects_zero_denominator(tree_m3_d4):
+    doc = json.loads(serialize_tree(tree_m3_d4))
+    doc["nodes"][1]["windows"][0][0] = [1, 0]
+    with pytest.raises(SchemaError, match="bad rational"):
+        deserialize_tree(doc)
+
+
 def test_deserialize_rejects_garbage():
     with pytest.raises(SchemaError):
         deserialize_tree("{not json")
