@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import render
-from .errors import ConfigError, GreenrayError
+from .errors import ConfigError, GreenrayError, InvalidInput
 from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
                         escape_green, invert_green_coords, skeleton,
                         trace_equipotential, trace_ray)
@@ -34,6 +34,12 @@ from .tree import (build_quadratic_tree, deserialize_tree, serialize_tree,
                    thinness_report)
 
 GOLDEN = 0.6180339887498949
+# Caps on `tree --depth` and `tree --skeleton`.  A depth-D tree has
+# 2^(D+1) - 1 nodes and a depth-D skeleton as many arcs, so each level
+# doubles the run: at c = -3 on a 2-core machine a depth-15 tree took
+# 3.7 s to build and a depth-8 skeleton 0.8 s.
+MAX_TREE_DEPTH = 16
+MAX_SKELETON_DEPTH = 12
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +212,14 @@ def _cmd_equipot(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
+    if args.depth > MAX_TREE_DEPTH:
+        raise InvalidInput(f"--depth {args.depth} exceeds the cap "
+                           f"{MAX_TREE_DEPTH}: the tree would have "
+                           f"2^{args.depth + 1} - 1 nodes")
+    if args.skeleton > MAX_SKELETON_DEPTH:
+        raise InvalidInput(f"--skeleton {args.skeleton} exceeds the cap "
+                           f"{MAX_SKELETON_DEPTH}: the skeleton would have "
+                           f"up to 2^{args.skeleton + 1} - 1 arcs")
     sys_ = _build_system(args, cfg)
     tree = build_quadratic_tree(sys_, args.depth)
     sink.write_text("tree.json", serialize_tree(tree) + "\n")
@@ -392,11 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="build the analytic tree")
     _add_system_flags(p)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=int, required=True,
+                   help=f"tree depth, at most {MAX_TREE_DEPTH}")
     p.add_argument("--m0", type=float, default=None,
                    help="thinness threshold (default G(0)/4pi)")
     p.add_argument("--skeleton", type=int, default=0, metavar="DEPTH",
-                   help="also emit skeleton arcs down to this depth as CSV")
+                   help="also emit skeleton arcs down to this depth as CSV "
+                        f"(at most {MAX_SKELETON_DEPTH})")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=_cmd_tree)
 

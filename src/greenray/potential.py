@@ -45,6 +45,10 @@ G_FAR = 6.0
 _SUBSTEPS = 12
 # Magnitude beyond which iterates are treated as infinite-precision escapes.
 _HUGE = 1e150
+# Largest order N of the inverse Böttcher series tried for a parameter.  It
+# covers |c| up to about 7e4 (c = -7.1e4 needs N = 48); past N = 60 the
+# coefficients, which grow up to R^(2n) ~ |c|^n, could overflow.
+_PSI_MAX_ORDER = 48
 # Rung x ray elements per block of batched ray descent.  It bounds the
 # working arrays: a 4096-ray descent to 1e-4 G(0) grows peak RSS by 1.9 MB
 # at 2^12, 3.0 MB at 2^13 and 5.9 MB at 2^14, at about the same speed.
@@ -85,6 +89,11 @@ class GreenSystem:
     `connectivity` is decided by the critical orbit within max_iter
     (bounded orbit => connected).  The critical value angle is stored as an
     exact rational; for real c < -2 it is 1/2.
+
+    Far points of ray descent come from the Laurent series of the inverse
+    Böttcher map, psi_c(u) = u * A(u^-2) with A(v) = sum a_n v^n, truncated
+    at an order N certified for every potential >= G_FAR.  The coefficients
+    a_0..a_N are computed once, on construction (`_psi_coefficients`).
     """
 
     params: QuadraticParams
@@ -92,6 +101,12 @@ class GreenSystem:
     critical_value_angle: Fraction | None
     robin_constant: float = 0.0
     _g0: float = field(default=0.0, repr=False)
+    _psi: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # G(0) is certified to within tol, so e^(G(0) + tol) bounds R
+        object.__setattr__(self, "_psi", _psi_coefficients(
+            self.params.c, self._g0 + self.params.tol))
 
     @staticmethod
     def from_c(c: complex, escape_radius: float | None = None,
@@ -140,6 +155,19 @@ class GreenSystem:
 # Green potential
 # ---------------------------------------------------------------------------
 
+def _escaped(a: float, n: int, tail: float) -> tuple[float, float]:
+    """G = 2^-n log a for an escaped |w_n| = a, with its error bound.
+
+    The bound adds to the harmonic tail the rounding of the value: one ulp
+    of G for log and its exact scaling, and 4 eps for |w_n| and for the
+    squarings at and beyond the escape radius (each within 2 eps relative,
+    weighted by 2^-(k+1) at step k).  The rounding of iterates inside the
+    escape radius, as of the input itself, is not counted.
+    """
+    g = math.ldexp(math.log(a), -n)
+    return g, tail + math.ulp(g) + 4.0 * math.ulp(1.0)
+
+
 def _escape_green(params: QuadraticParams, z: complex) -> tuple[float, float]:
     c = params.c
     w = complex(z)
@@ -154,7 +182,7 @@ def _escape_green(params: QuadraticParams, z: complex) -> tuple[float, float]:
             # |G - 2^-n log|w|| <= 2^-n |c| / (|w|^2 - |c|) drops below tol
             err = math.ldexp(ac / (a * a - ac), -n) if a < _HUGE else 0.0
             if err <= 0.5 * params.tol or a >= _HUGE:
-                return math.ldexp(math.log(a), -n), err
+                return _escaped(a, n, err)
         elif a >= _HUGE:
             raise NonFinite(
                 "iterate overflow before escape certification; "
@@ -167,7 +195,7 @@ def _escape_green(params: QuadraticParams, z: complex) -> tuple[float, float]:
     if a >= params.escape_radius:
         # escaped but the budget ran out before the tail bound met tol:
         # return the estimate with its honest (larger) bound
-        return math.ldexp(math.log(a), -n), math.ldexp(ac / (a * a - ac), -n)
+        return _escaped(a, n, math.ldexp(ac / (a * a - ac), -n))
     return 0.0, params.tol
 
 
@@ -223,23 +251,56 @@ def _theta_far(c: complex, w: complex) -> float:
     return (a / (2.0 * math.pi)) % 1.0
 
 
-def _far_points(c: complex, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _psi_coefficients(c: complex, log_r: float) -> tuple[complex, ...]:
+    """Coefficients a_0..a_N of psi_c(u) = u * A(u^-2), A(v) = sum a_n v^n.
+
+    psi_c = phi_c^-1 satisfies psi(u^2) = psi(u)^2 + c, so A(v^2) =
+    A(v)^2 + c v: a_0 = 1 and
+        2 a_n = [n even] a_(n/2) - sum_{i=1}^{n-1} a_i a_(n-i) - c [n = 1].
+    psi_c is univalent on |u| > e^G(0) (|u| > 1 for connected c), so with
+    R = e^log_r >= e^G(0) the area theorem gives |a_n| <= R^(2n)/sqrt(2n-1).
+    At potential >= G_FAR the terms past a_N then sum to at most
+    q^(N+1)/(1-q) with q = R^2 e^(-2 G_FAR), and |A| >= 1 - q/(1-q).  N is
+    the least order whose tail is below a quarter ulp of that lower bound;
+    the empty tuple when no N <= _PSI_MAX_ORDER is.
+    """
+    q = math.exp(2.0 * (log_r - G_FAR))
+    if q >= 0.5:
+        return ()
+    tail_tol = 0.25 * math.ulp(1.0 - q / (1.0 - q))
+    order = next((n for n in range(1, _PSI_MAX_ORDER + 1)
+                  if q ** (n + 1) / (1.0 - q) <= tail_tol), None)
+    if order is None:
+        return ()
+    a = [1.0 + 0.0j, -0.5 * c]
+    for n in range(2, order + 1):
+        s = sum(a[i] * a[n - i] for i in range(1, n))
+        a.append(0.5 * ((a[n // 2] if n % 2 == 0 else 0.0) - s))
+    return tuple(a)
+
+
+def _far_points(sys: GreenSystem, theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Invert the Böttcher chart at high potential (g >= G_FAR), elementwise.
 
-    Each element iterates w = u / (phi(w)/w) until it stops moving, at most
-    6 rounds; |c/w^2| is tiny out here, so 3-4 rounds suffice.
+    One Horner sweep of the truncated Laurent series
+    psi_c(u) = u * sum_{n<=N} a_n u^(-2n) at u = exp(g + 2 pi i theta), with
+    the coefficients and the order N of `sys` (see `GreenSystem`): the
+    terms left out sum to under a quarter ulp of the series.  Raises
+    AngleUnresolved where no such N exists or where |c/u^2| > 1/2.
     """
+    a = sys._psi
+    if not a:
+        raise AngleUnresolved("no certified truncation of the inverse "
+                              "Böttcher series for this parameter")
+    if abs(sys.c) * math.exp(-2.0 * float(np.min(g))) > 0.5:
+        raise AngleUnresolved("Böttcher series used below its domain")
     u = np.exp(g + 2j * np.pi * theta)
-    w = u.copy()
-    idx = np.arange(w.size)
-    for _ in range(6):
-        w_next = u.flat[idx] / np.exp(_bottcher_log(c, w.flat[idx]))
-        moved = w_next != w.flat[idx]
-        w.flat[idx] = w_next
-        idx = idx[moved]
-        if not idx.size:
-            break
-    return w
+    r = 1.0 / u
+    v = r * r
+    acc = a[-1]
+    for an in a[-2::-1]:
+        acc = acc * v + an
+    return u * acc
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +489,7 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
         # frac(2^j theta), correctly rounded, by level and ray
         angles = np.array([[((p << j) % q) / q for p, q in pq[s:s + step]]
                            for j in range(ell[-1] + 1)])
-        w = _far_points(c, angles[ell], far_g)
+        w = _far_points(sys, angles[ell], far_g)
         hits = []
         for j in range(ell[-1] - 1, -1, -1):
             e = np.searchsorted(ell, j, side="right")
@@ -456,7 +517,8 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
     counterclockwise one-sided limit at an exact critical access angle below
     its crash potential, RayCrash at the crash potential or through a
     precritical point, AngleUnresolved where the Böttcher series leaves its
-    domain.  Each point equals the single-ray result bit for bit.
+    domain or has no certified truncation (`_far_points`).  Each point
+    equals the single-ray result bit for bit.
     """
     if g_target > 300.0:
         raise InvalidInput("potential too large for the float chart range")

@@ -153,7 +153,7 @@ def continuum_map(cm: ContinuumMap, z: complex) -> complex:
 
 
 class DisplacementEstimate(NamedTuple):
-    estimate: float          # 2 * integral, an upper estimate of 2 d_P
+    estimate: float          # 2 * integral; between d_P and 4 d_P (Koebe)
     integral: float          # quasihyperbolic ray length between z and l(z)
     log_c: float             # log of the bilipschitz constant of k
     potential: float
@@ -171,8 +171,14 @@ def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
 
     Integrates |dz|/delta(z) along the external ray between the potentials
     G(z) and k(G(z)), with delta the distance to an inverse-iteration sample
-    cloud of the Julia set; twice the integral is an upper estimate of
-    2 d_P(l(z), z), to be compared with log C plus a sampling slack.
+    cloud of the Julia set.  With the hyperbolic density lambda of metric
+    2|dv|/(1 - |v|^2), the Schwarz lemma and Koebe's 1/4 theorem give only
+    1/(2 delta) <= lambda <= 2/delta, so along the ray (a hyperbolic
+    geodesic for connected K_c) d_P/2 <= integral <= 2 d_P for the exact
+    delta and d_P = d_P(l(z), z): `estimate` = 2 integral lies between d_P
+    and 4 d_P.  A cloud inside J overestimates delta and so lowers the
+    integral.  `bound_ok` compares estimate/2 with log C plus a sampling
+    slack, a heuristic check.
     """
     gc = log_bottcher(cm.system, z)
     g_a, g_b = gc.potential, cm.k(gc.potential)

@@ -88,11 +88,6 @@ class CircleCDF:
                 out.append((self._xs[i], self._xs[i + 1]))
         return tuple(out)
 
-    @property
-    def max_slope(self) -> float:
-        return max((self._ys[i + 1] - self._ys[i]) / (self._xs[i + 1] - self._xs[i])
-                   for i in range(len(self._xs) - 1))
-
 
 def measure_of(d: Callable[[float], float], windows: Sequence[tuple]) -> float:
     """mu_d mass of a disjoint interval family: sum of d(b) - d(a)."""

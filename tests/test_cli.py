@@ -107,6 +107,25 @@ def test_tree_skeleton_csv(tmp_path):
     assert len(rows) > 3
 
 
+@pytest.mark.parametrize("flag, value", [("--depth", 300), ("--skeleton", 300)])
+def test_tree_caps_reject_before_work(tmp_path, capsys, monkeypatch, flag,
+                                      value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("oversized run started")
+
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    monkeypatch.setattr(greenray.cli, "build_quadratic_tree", no_work)
+    monkeypatch.setattr(greenray.cli, "skeleton", no_work)
+    args = {"--depth": 3, "--skeleton": 0, flag: value}
+    out = tmp_path / "x"
+    code = run(["--output-dir", out, "tree", "--c", "-3",
+                *(str(a) for kv in args.items() for a in kv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidInput: {flag} {value} exceeds the cap")
+    assert list(out.iterdir()) == []
+
+
 def test_ray_crash_maps_to_error_name(tmp_path, capsys):
     code = run(["--output-dir", tmp_path / "x", "ray", "--c", "-3",
                 "--angle", "1/4", "--g-lo", "0.05", "--g-hi", "1.0",

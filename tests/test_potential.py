@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from greenray.angles import circ_dist
 from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
                              InsideK, NonFinite, OnSkeleton, RayCrash)
-from greenray.potential import (GreenSystem, QuadraticParams, _crash_level,
+from greenray.potential import (G_FAR, GreenSystem, QuadraticParams,
+                                _crash_level, _far_points,
                                 critical_potential, descend_rays_bulk,
                                 escape_green, invert_green_coords,
                                 julia_samples, log_bottcher,
@@ -68,14 +70,14 @@ def test_green_functional_equation_random(c):
 @given(x=st.floats(-4.0, 4.0), y=st.floats(-4.0, 4.0))
 @settings(max_examples=100, deadline=None)
 def test_green_functional_equation_within_bounds(c, x, y):
-    # G(f(z)) = 2 G(z) within the returned bounds; the bounds cover the
-    # harmonic tail, not the rounding of the final log, so one ulp of
-    # G(f(z)) is added (at c = 0 the tail, and so the bound, is 0)
+    # G(f(z)) = 2 G(z) within the returned bounds, which cover the
+    # rounding of the final log as well as the harmonic tail (at c = 0,
+    # z = 2 + 4i the tail is 0 and the sides differ by 4.4e-16)
     sys_ = GreenSystem.from_c(c)
     z = complex(x, y)
     g, err = escape_green(sys_, z)
     gf, err_f = escape_green(sys_, z * z + c)
-    assert abs(gf - 2.0 * g) <= err_f + 2.0 * err + math.ulp(gf)
+    assert abs(gf - 2.0 * g) <= err_f + 2.0 * err
 
 
 @pytest.mark.parametrize("c", [0.0, -3.0, -5.0])
@@ -283,6 +285,88 @@ def test_bulk_series_domain():
     # |c/w^2| > 1/2 already at the far potential e^G_FAR
     with pytest.raises(AngleUnresolved):
         descend_rays_bulk(GreenSystem.from_c(-1e5), [0.1], 1.0)
+
+
+FAR_POINT_PARAMS = [-5.0, -3.0, -1.0, 0.25, -100.0, 0.3 + 0.5j]
+
+
+def _log_phi(c, w):
+    """log phi_c(w) and its w-derivative from the Böttcher product formula
+    phi_c(w) = w prod_n (1 + c/w_n^2)^(2^-(n+1)), w_0 = w, w_(n+1) = w_n^2 + c,
+    in mpmath at the working precision."""
+    s, ds, wn, dwn, p = mpmath.log(w), 1 / w, w, mpmath.mpf(1), mpmath.mpf(0.5)
+    while True:
+        t = c / (wn * wn)
+        s += p * mpmath.log(1 + t)
+        ds -= p * 2 * c * dwn / (wn * (wn * wn + c))
+        if abs(t) * p < mpmath.mpf(10) ** -45:
+            return s, ds
+        wn, dwn, p = wn * wn + c, 2 * wn * dwn, p / 2
+
+
+def _far_point_oracle(c: complex, theta: float, g: float, w0: complex):
+    """The w with phi_c(w) = exp(g + 2 pi i theta), by Newton at 40 digits."""
+    with mpmath.workdps(40):
+        c, w = mpmath.mpc(c), mpmath.mpc(w0)
+        target = mpmath.mpf(g) + 2j * mpmath.pi * mpmath.mpf(theta)
+        for _ in range(8):
+            s, ds = _log_phi(c, w)
+            f = s - target
+            f -= 2j * mpmath.pi * mpmath.nint(f.imag / (2 * mpmath.pi))
+            w -= f / ds
+        return complex(w)
+
+
+@pytest.mark.parametrize("c", FAR_POINT_PARAMS)
+def test_far_points_match_high_precision_oracle(c):
+    sys_ = GreenSystem.from_c(c)
+    rng = np.random.default_rng(1985)
+    theta = rng.random(16)
+    g = G_FAR * (1.0 + rng.random(16))
+    g[0] = G_FAR
+    w = _far_points(sys_, theta, g)
+    for t, gg, z in zip(theta, g, w):
+        exact = _far_point_oracle(c, t, gg, z)
+        assert abs(z - exact) <= 5.0 * math.ulp(1.0) * abs(exact)
+
+
+def _univalence_radius(sys_) -> float:
+    return math.exp(critical_potential(sys_)) if sys_.is_cantor else 1.0
+
+
+@pytest.mark.parametrize("c", FAR_POINT_PARAMS + [-2.0, -7e4])
+def test_psi_coefficients_obey_area_theorem(c):
+    # psi(u) = u + sum b_k u^-k with b_(2n-1) = a_n is univalent on |u| > R:
+    # sum k |b_k|^2 R^(-2k-2) <= 1, so |a_n| <= R^(2n)/sqrt(2n-1); c = -2
+    # (psi(u) = u + 1/u) meets both with equality
+    sys_ = GreenSystem.from_c(c)
+    r2 = _univalence_radius(sys_) ** 2
+    a = sys_._psi
+    assert a[0] == 1.0 and len(a) >= 2
+    area = 0.0
+    for n in range(1, len(a)):
+        assert abs(a[n]) <= r2 ** n / math.sqrt(2 * n - 1) * (1.0 + 1e-12)
+        area += (2 * n - 1) * abs(a[n] / r2 ** n) ** 2
+    assert area <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("c", FAR_POINT_PARAMS + [-7e4])
+def test_psi_truncation_meets_quarter_ulp(c):
+    sys_ = GreenSystem.from_c(c)
+    q = _univalence_radius(sys_) ** 2 * math.exp(-2.0 * G_FAR)
+    order = len(sys_._psi) - 1
+    tail = q ** (order + 1) / (1.0 - q)
+    assert tail <= 0.25 * math.ulp(1.0 - q / (1.0 - q))
+
+
+def test_psi_truncation_uncertified_raises():
+    # |c/u^2| <= 1/2 at every far potential, but the area-theorem tail at
+    # G_FAR needs more than the largest order tried
+    sys_ = GreenSystem.from_c(-7.5e4)
+    assert sys_._psi == ()
+    assert abs(sys_.c) * math.exp(-2.0 * G_FAR) < 0.5
+    with pytest.raises(AngleUnresolved):
+        descend_rays_bulk(sys_, [0.1], 20.0)
 
 
 def test_bulk_crash_guard_through_precritical_point(sys_m3):
