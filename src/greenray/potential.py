@@ -38,8 +38,8 @@ from . import angles as ang
 from .errors import (AngleUnresolved, Connected, CriticalLevel, InsideK,
                      InvalidInput, NonFinite, OnSkeleton, RayCrash)
 
-# Potential above which the Böttcher correction series is certified
-# principal-branch safe (|c/w^2| stays tiny along the tail).
+# Far potential of ray descent: every descent starts from psi_c at a
+# potential >= G_FAR, where its series is certified (`_psi_coefficients`).
 G_FAR = 6.0
 # Substeps per potential octave in ray descent.
 _SUBSTEPS = 12
@@ -216,40 +216,8 @@ def critical_potential(sys: GreenSystem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Far-field Böttcher chart
+# Inverse Böttcher chart at high potential
 # ---------------------------------------------------------------------------
-
-def _bottcher_log(c: complex, w) -> np.ndarray:
-    """log(phi(w)/w) = sum 2^-(n+1) log(1 + c/w_n^2), elementwise.
-
-    Certified at |w| >= e^G_FAR.  Each element stops at its first term below
-    1e-18 or once its orbit passes _HUGE, so its value does not depend on
-    the rest of the batch.
-    """
-    w = np.asarray(w, dtype=complex)
-    total = np.zeros(w.size, dtype=complex)
-    idx = np.flatnonzero(np.abs(w) < _HUGE)
-    wn = w.ravel()[idx]
-    p = 0.5
-    while idx.size:
-        sq = wn * wn
-        u = c / sq
-        size = np.abs(u)
-        if (size > 0.5).any():
-            raise AngleUnresolved("Böttcher series used below its domain")
-        total[idx] += p * np.log1p(u)
-        wn = sq + c
-        live = (p * size >= 1e-18) & (np.abs(wn) < _HUGE)
-        idx, wn = idx[live], wn[live]
-        p *= 0.5
-    return total.reshape(w.shape)
-
-
-def _theta_far(c: complex, w: complex) -> float:
-    """External angle of a far-field point (potential >= G_FAR), in turns."""
-    a = cmath.phase(w) + float(_bottcher_log(c, w).imag)
-    return (a / (2.0 * math.pi)) % 1.0
-
 
 def _psi_coefficients(c: complex, log_r: float) -> tuple[complex, ...]:
     """Coefficients a_0..a_N of psi_c(u) = u * A(u^-2), A(v) = sum a_n v^n.
@@ -340,51 +308,51 @@ def _near_skeleton(sys: GreenSystem, theta: float, g: float, guard: float) -> bo
 def log_bottcher(sys: GreenSystem, z: complex) -> GreenCoordinate:
     """Green coordinate (external angle, potential) of an exterior point.
 
-    Raises InsideK at vanishing potential and OnSkeleton within guard
-    distance (10*tol, measured in angle) of a skeleton arc, where the angle
-    is two-valued.
+    The angle is the phase of the orbit point w_m at which |c/w_m^2| <= 2^-60
+    (or |w_m| >= _HUGE), halved back to z: by the fold bit for real c, exact
+    at every level, and by the principal argument otherwise, which raises
+    AngleUnresolved where some |c/w_j^2| >= 1/2, j < m.  Raises InsideK at
+    vanishing potential and OnSkeleton within guard distance (10*tol,
+    measured in angle) of a skeleton arc, where the angle is two-valued.
     """
     g, _ = escape_green(sys, z)
     if g <= 0.0:
         raise InsideK("point has zero Green potential")
     c = sys.c
 
-    orbit = [complex(z)]
-    gj = g
-    while gj < G_FAR:
-        w = orbit[-1]
-        orbit.append(w * w + c)
-        gj *= 2.0
-    m = len(orbit) - 1
+    # the bounded orbit never leaves, so InsideK comes first; out there
+    # arg phi(w) - arg w = O(|c/w^2|), about a thousandth of an ulp
+    w = complex(z)
+    orbit = [w]
+    while abs(w) < _HUGE and abs(c) > 2.0 ** -60 * (abs(w) * abs(w)):
+        w = w * w + c
+        orbit.append(w)
+    theta = (cmath.phase(w) / (2.0 * math.pi)) % 1.0
 
-    if sys.is_real:
-        t = _theta_far(c, orbit[m])
-        for j in range(m - 1, -1, -1):
-            half = t / 2.0
-            if orbit[j].imag != 0.0 and abs(half - 0.25) < 0.125:
+    # halve the far angle back along the orbit, choosing each branch
+    for j in range(len(orbit) - 2, -1, -1):
+        w = orbit[j]
+        half = theta / 2.0
+        if sys.is_real:
+            if w.imag != 0.0 and abs(half - 0.25) < 0.125:
                 # candidates near the rays 1/4 and 3/4, where the sign of Re
                 # is rounding noise: the upper half plane holds (0, 1/2)
-                keep = orbit[j].imag > 0.0
+                keep = w.imag > 0.0
             else:
-                keep = (half >= 0.25) == _real_fold_bit(orbit[j])
-            t = half if keep else half + 0.5
-        theta = t % 1.0
-    else:
-        # Halve the far angle back along the orbit, resolving each branch by
-        # the principal argument; certified while every correction term
-        # |c/w^2| stays below 1/2 (cumulative angle error < 1/4 turn, smaller
-        # than the candidate separation 1/2).
-        theta = _theta_far(c, orbit[m])
-        for j in range(m - 1, -1, -1):
-            w = orbit[j]
+                keep = (half >= 0.25) == _real_fold_bit(w)
+            theta = half if keep else half + 0.5
+        else:
+            # the principal argument picks the branch; certified while every
+            # correction term |c/w^2| stays below 1/2 (cumulative angle error
+            # < 1/4 turn, smaller than the candidate separation 1/2)
             if abs(c / (w * w)) >= 0.5:
                 raise AngleUnresolved(
                     "argument lift uncertified for non-real c at this "
                     "potential; evaluate at higher potential")
             base = (cmath.phase(w) / (2.0 * math.pi)) % 1.0
-            cands = ((theta / 2.0) % 1.0, (theta / 2.0 + 0.5) % 1.0)
+            cands = (half % 1.0, (half + 0.5) % 1.0)
             theta = min(cands, key=lambda t_: ang.circ_dist(t_, base))
-        theta %= 1.0
+    theta %= 1.0
 
     if _near_skeleton(sys, theta, g, 10.0 * sys.tol):
         raise OnSkeleton("external angle is two-valued within guard distance "
@@ -451,13 +419,16 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
     the branch signs are a running count of flips.  The first root below a
     far point meets the previous rung's far point at the same level, as ell
     grows by at most one per rung.  `thetas` are Fractions or floats; the
-    crash rule is `_ray_angle`'s.  Returns shape (len(targets), len(thetas)).
+    crash rule is `_ray_angle`'s.  Targets above potential 300 raise
+    InvalidInput.  Returns shape (len(targets), len(thetas)).
     """
     targets = [float(g) for g in targets]
     if not all(g > 0.0 for g in targets):
         raise InvalidInput("potential must be positive")
     if any(a < b for a, b in zip(targets, targets[1:])):
         raise InvalidInput("target potentials must be non-increasing")
+    if targets[0] > 300.0:
+        raise InvalidInput("potential too large for the float chart range")
     pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
 
     # ladder of rung potentials: geometric with exact targets inserted
@@ -517,11 +488,10 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
     counterclockwise one-sided limit at an exact critical access angle below
     its crash potential, RayCrash at the crash potential or through a
     precritical point, AngleUnresolved where the Böttcher series leaves its
-    domain or has no certified truncation (`_far_points`).  Each point
-    equals the single-ray result bit for bit.
+    domain or has no certified truncation (`_far_points`), and InvalidInput
+    above potential 300, past the float range of the chart (`_descend`).
+    Each point equals the single-ray result bit for bit.
     """
-    if g_target > 300.0:
-        raise InvalidInput("potential too large for the float chart range")
     return _descend(sys, thetas, [g_target], crash_side=+1)[0]
 
 

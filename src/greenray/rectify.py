@@ -35,7 +35,6 @@ from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
                         log_bottcher, trace_ray)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                          lipschitz_approx_d, lipschitz_approx_k)
-from .tree import build_quadratic_tree
 
 
 def chordal_distance(a: complex, b: complex) -> float:
@@ -111,18 +110,6 @@ def build_quadratic_pair(c: float, c_prime: float, depth: int = 10) -> Transport
     k = PotentialHomeo(tuple(bps))
     vs = VirtualStructure(CircleCDF.identity(), k)
 
-    # the exact dyadic combinatorics must agree; compare angular invariants
-    check_depth = min(depth, 4)
-    ta = build_quadratic_tree(src, check_depth)
-    tb = build_quadratic_tree(tgt, check_depth)
-    for na, nb in zip(sorted(ta.nodes.values(), key=lambda n: n.id),
-                      sorted(tb.nodes.values(), key=lambda n: n.id)):
-        da = circ_dist(na.angular_invariant[0], nb.angular_invariant[0])
-        db = circ_dist(na.angular_invariant[1], nb.angular_invariant[1])
-        if max(da, db) > max(src.tol, tgt.tol):
-            raise CombinatoricsMismatch(
-                f"angular invariants differ at node {na.id}: "
-                f"{na.angular_invariant} vs {nb.angular_invariant}")
     return TransportMap(src, tgt, vs)
 
 

@@ -134,6 +134,16 @@ def test_ray_crash_maps_to_error_name(tmp_path, capsys):
     assert "RayCrash" in capsys.readouterr().err
 
 
+def test_ray_above_potential_cap_writes_nothing(tmp_path, capsys):
+    # past potential ~709 the far point overflows to NaN
+    out = tmp_path / "x"
+    code = run(["--output-dir", out, "ray", "--c", "-3", "--angle", "0.1",
+                "--g-lo", "1", "--g-hi", "800", "--samples", "3"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: InvalidInput:")
+    assert not (out / "ray.csv").exists()
+
+
 def test_critical_level_maps_to_error_name(tmp_path, capsys):
     # equipotential exactly at G(0) is not Jordan
     from greenray.potential import GreenSystem, critical_potential

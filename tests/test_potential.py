@@ -330,6 +330,42 @@ def test_far_points_match_high_precision_oracle(c):
         assert abs(z - exact) <= 5.0 * math.ulp(1.0) * abs(exact)
 
 
+def _angle_error(sys_, z: complex) -> float:
+    """Turns between the angle of log_bottcher at z and arg phi_c(z)/2pi from
+    the Böttcher product formula at 40 digits."""
+    theta = log_bottcher(sys_, z).angle
+    with mpmath.workdps(40):
+        s, _ = _log_phi(mpmath.mpc(sys_.c), mpmath.mpc(z))
+        d = mpmath.frac(mpmath.mpf(theta) - s.imag / (2 * mpmath.pi))
+        return float(min(d, 1 - d))
+
+
+@pytest.mark.parametrize("c", FAR_POINT_PARAMS + [0.0])
+def test_log_bottcher_angle_matches_product_formula(c):
+    # |z| >= 2 and |c/z^2| <= 1/2 keep every factor of the product within
+    # |c/w_n^2| <= 1/2, on the principal branch
+    sys_ = GreenSystem.from_c(c)
+    rng = np.random.default_rng(1916)
+    r = max(math.sqrt(2.0 * abs(c)), 2.0) * np.exp(3.0 * rng.random(16))
+    for z in r * np.exp(2j * np.pi * rng.random(16)):
+        assert _angle_error(sys_, complex(z)) <= 2.0 ** -52
+
+
+def test_log_bottcher_angle_large_real_c():
+    # at c = -1e5 |c/z^2| exceeds 1/2 just above G_FAR; the fold-bit rule
+    # for real c needs no bound on it
+    sys_ = GreenSystem.from_c(-1e5)
+    rng = np.random.default_rng(1917)
+    zs = np.exp(6.0 + 0.6 * rng.random(64) + 2j * np.pi * rng.random(64))
+    kept = [complex(z) for z in zs
+            if 6.0 <= escape_green(sys_, complex(z))[0] <= 6.3
+            and abs(sys_.c / (z * z)) < 0.9]
+    assert len(kept) >= 16
+    assert max(abs(sys_.c / (z * z)) for z in kept) > 0.5
+    for z in kept:
+        assert _angle_error(sys_, z) <= 2.0 ** -52
+
+
 def _univalence_radius(sys_) -> float:
     return math.exp(critical_potential(sys_)) if sys_.is_cantor else 1.0
 

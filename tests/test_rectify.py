@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from greenray.errors import (CombinatoricsMismatch, Connected, GreenrayError,
                              InsideK)
-from greenray.potential import (critical_potential, escape_green,
+from greenray.potential import (GreenSystem, critical_potential, escape_green,
                                 invert_green_coords, julia_samples,
                                 log_bottcher, trace_equipotential, trace_ray)
 from greenray.rectify import (ContinuumMap, TransportMap,
@@ -133,6 +133,17 @@ def test_pair_mod_xi_matches_target_modulus():
 def test_pair_rejects_connected():
     with pytest.raises(CombinatoricsMismatch):
         build_quadratic_pair(-3.0, -1.0)
+
+
+def test_real_cantor_trees_share_angular_invariants():
+    # build_quadratic_pair checks only theta_c = 1/2 on both sides: the
+    # angular invariants are a function of theta_c and the depth alone
+    invariants = [
+        {i: n.angular_invariant for i, n in
+         build_quadratic_tree(GreenSystem.from_c(c), 4).nodes.items()}
+        for c in (-2.5, -3.0, -5.0)]
+    assert len(invariants[0]) == 31
+    assert invariants[0] == invariants[1] == invariants[2]
 
 
 def test_pair_residuals(sys_m3):
