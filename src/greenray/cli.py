@@ -21,8 +21,8 @@ import numpy as np
 from . import render
 from .errors import ConfigError, GreenrayError, InvalidInput
 from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
-                        escape_green, invert_green_coords, skeleton,
-                        trace_equipotential, trace_ray)
+                        escape_green, invert_green_coords, julia_samples,
+                        skeleton, trace_equipotential, trace_ray)
 from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
                       build_quadratic_pair, convergence_study,
                       quasihyperbolic_displacement, transport_exterior,
@@ -40,6 +40,10 @@ GOLDEN = 0.6180339887498949
 # 3.7 s to build and a depth-8 skeleton 0.8 s.
 MAX_TREE_DEPTH = 16
 MAX_SKELETON_DEPTH = 12
+# Cap on `green --nx` and `--ny`.  The grid is walked point by point and
+# held in memory as CSV rows: at c = -1 on a 2-core machine a 512 x 512
+# grid took 1.9 s and wrote 17 MB, and each doubling of the side is 4x.
+MAX_GRID_SIDE = 512
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +178,9 @@ def _ring_points(sys: GreenSystem, g: float, n: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
+    for flag, n in (("--nx", args.nx), ("--ny", args.ny)):
+        if not 1 <= n <= MAX_GRID_SIDE:
+            raise InvalidInput(f"{flag} {n} is outside [1, {MAX_GRID_SIDE}]")
     sys_ = _build_system(args, cfg)
     x0, x1, y0, y1 = _parse_values("--window", args.window, float, (4,))
     rows = []
@@ -212,6 +219,10 @@ def _cmd_equipot(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
+    if args.depth < 1:
+        raise InvalidInput(f"--depth {args.depth} is below 1")
+    if args.skeleton < 0:
+        raise InvalidInput(f"--skeleton {args.skeleton} is below 0")
     if args.depth > MAX_TREE_DEPTH:
         raise InvalidInput(f"--depth {args.depth} exceeds the cap "
                            f"{MAX_TREE_DEPTH}: the tree would have "
@@ -266,6 +277,8 @@ def _cmd_collapse(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
+    if args.hausdorff and args.hausdorff_rays < 1:
+        raise InvalidInput(f"--hausdorff-rays {args.hausdorff_rays} is below 1")
     vs = _structure_from_args(args)
     src = GreenSystem.from_c(complex(args.source_c, 0.0))
     tgt = GreenSystem.from_c(complex(args.target_c, 0.0))
@@ -337,11 +350,12 @@ def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
                    ["radius", "dir_re", "dir_im", "q_re", "q_im"],
                    [(p.radius, p.direction.real, p.direction.imag,
                      p.quotient.real, p.quotient.imag) for p in probes])
+    cloud = julia_samples(sys_, 14)
     rows = []
     for i in range(args.displacement_points):
         theta = ((i + 0.5) / args.displacement_points + GOLDEN) % 1.0
         z = invert_green_coords(sys_, (theta, args.probe_g))
-        est = quasihyperbolic_displacement(cm, z)
+        est = quasihyperbolic_displacement(cm, z, boundary=cloud)
         rows.append((theta, z.real, z.imag, est.integral, est.estimate,
                      est.log_c, int(est.bound_ok())))
     sink.write_csv("displacement.csv",
@@ -383,8 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     p.add_argument("--window", default="-3,3,-3,3",
                    help="x0,x1,y0,y1 of the sampling rectangle")
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--ny", type=int, default=64)
+    p.add_argument("--nx", type=int, default=64,
+                   help=f"grid columns, at most {MAX_GRID_SIDE}")
+    p.add_argument("--ny", type=int, default=64,
+                   help=f"grid rows, at most {MAX_GRID_SIDE}")
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("ray", help="trace one external ray")

@@ -53,6 +53,9 @@ _PSI_MAX_ORDER = 48
 # working arrays: a 4096-ray descent to 1e-4 G(0) grows peak RSS by 1.9 MB
 # at 2^12, 3.0 MB at 2^13 and 5.9 MB at 2^14, at about the same speed.
 _CHUNK = 1 << 12
+# Cap on the depth of `julia_samples`: a depth-D cloud holds 2^D points,
+# 64 MiB of complex128 at D = 22.  The library's own callers use D <= 16.
+MAX_JULIA_DEPTH = 22
 
 
 @dataclass(frozen=True)
@@ -651,8 +654,11 @@ def julia_samples(sys: GreenSystem, depth: int = 14) -> np.ndarray:
     """Boundary samples: the full depth-`depth` inverse-orbit tree of beta.
 
     Deterministic; returns 2^depth complex points within O(contraction^depth)
-    of the Julia set.
+    of the Julia set.  A depth outside [0, MAX_JULIA_DEPTH] is InvalidInput.
     """
+    if not 0 <= depth <= MAX_JULIA_DEPTH:
+        raise InvalidInput(f"julia_samples depth {depth} is outside "
+                           f"[0, {MAX_JULIA_DEPTH}]")
     c = sys.c
     beta = (1.0 + cmath.sqrt(1.0 - 4.0 * c)) / 2.0
     pts = np.array([beta], dtype=complex)

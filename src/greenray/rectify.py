@@ -139,6 +139,33 @@ def continuum_map(cm: ContinuumMap, z: complex) -> complex:
     return invert_green_coords(cm.system, (gc.angle, cm.k(gc.potential)))
 
 
+def _cloud_distances(cloud, pts) -> np.ndarray:
+    """Distance from each query point to the nearest point of the cloud.
+
+    Exact for the whole cloud, yet the KD-tree holds only the cloud points
+    in the bounding box of `pts` widened by R, the largest distance from a
+    query to p*, the cloud point nearest the first query.  An empty cloud
+    or one with a non-finite point is InvalidInput.
+    """
+    cloud = np.ascontiguousarray(cloud, dtype=complex).ravel()
+    pts = np.ascontiguousarray(pts, dtype=complex).ravel()
+    if cloud.size == 0:
+        raise InvalidInput("the boundary cloud is empty")
+    if not np.isfinite(cloud).all():
+        raise InvalidInput("the boundary cloud has a non-finite point")
+    p_star = cloud[np.argmin(np.abs(cloud - pts[0]))]
+    # The nearest point q of a query m has |q - m| <= |p* - m| <= R, so q is in
+    # the box; the pad covers rounding in np.abs, and edge rounding is monotone.
+    r = float(np.max(np.abs(pts - p_star))) * (1.0 + 2.0 ** -20)
+    x, y = cloud.real, cloud.imag
+    keep = ((x >= pts.real.min() - r) & (x <= pts.real.max() + r)
+            & (y >= pts.imag.min() - r) & (y <= pts.imag.max() + r))
+    # (re, im) rows: a view of the complex array, copied only where kept
+    dist, _ = cKDTree(cloud.view(float).reshape(-1, 2)[keep]).query(
+        pts.view(float).reshape(-1, 2))
+    return dist
+
+
 class DisplacementEstimate(NamedTuple):
     estimate: float          # 2 * integral; between d_P and 4 d_P (Koebe)
     integral: float          # quasihyperbolic ray length between z and l(z)
@@ -166,6 +193,11 @@ def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
     and 4 d_P.  A cloud inside J overestimates delta and so lowers the
     integral.  `bound_ok` compares estimate/2 with log C plus a sampling
     slack, a heuristic check.
+
+    delta is the exact distance to the nearest point of the whole cloud.
+    The KD-tree behind it holds only the cloud points in the bounding box
+    of the midpoints widened by R, the largest distance from a midpoint to
+    the cloud point nearest the first one; no other point can be nearest.
     """
     gc = log_bottcher(cm.system, z)
     g_a, g_b = gc.potential, cm.k(gc.potential)
@@ -175,10 +207,9 @@ def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
     pts = [p.point for p in trace_ray(cm.system, gc.angle, lo, hi, n_steps + 1)]
     if boundary is None:
         boundary = julia_samples(cm.system, julia_depth)
-    tree = cKDTree(np.c_[np.asarray(boundary).real, np.asarray(boundary).imag])
     arr = np.asarray(pts)
     mids = 0.5 * (arr[1:] + arr[:-1])
-    deltas, _ = tree.query(np.c_[mids.real, mids.imag])
+    deltas = _cloud_distances(boundary, mids)
     steps = np.abs(np.diff(arr))
     integral = float(np.sum(steps / deltas))
     return DisplacementEstimate(2.0 * integral, integral, cm.log_bilipschitz,
@@ -276,6 +307,8 @@ def transported_boundary_distance(tm: TransportMap, n_rays: int = 4096,
     offset away from all dyadic access angles; they approximate the
     continuous extension of the transport to the Julia set.
     """
+    if n_rays < 1:
+        raise InvalidInput(f"n_rays must be >= 1, got {n_rays}")
     src, tgt = tm.source, tm.target
     g_end = potential_factor * critical_potential(src)
     offset = 1.0 / 9973.0
@@ -284,7 +317,4 @@ def transported_boundary_distance(tm: TransportMap, n_rays: int = 4096,
     k = tm.vs.k
     thetas_t = np.array([d(t) % 1.0 for t in thetas])
     pts = descend_rays_bulk(tgt, thetas_t, k(g_end))
-    cloud = julia_samples(tgt, julia_depth)
-    tree = cKDTree(np.c_[cloud.real, cloud.imag])
-    dist, _ = tree.query(np.c_[pts.real, pts.imag])
-    return float(dist.max())
+    return float(_cloud_distances(julia_samples(tgt, julia_depth), pts).max())

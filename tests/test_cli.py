@@ -3,8 +3,10 @@ import json
 import pytest
 
 import greenray.cli
+import greenray.rectify
 import greenray.structures
 from greenray.cli import main
+from greenray.potential import julia_samples
 from greenray.structures import VirtualStructure, serialize_structure
 from greenray.tree import deserialize_tree
 
@@ -107,12 +109,14 @@ def test_tree_skeleton_csv(tmp_path):
     assert len(rows) > 3
 
 
-@pytest.mark.parametrize("flag, value", [("--depth", 300), ("--skeleton", 300)])
+def no_work(*args, **kwargs):
+    raise AssertionError("a rejected run started")
+
+
+@pytest.mark.parametrize("flag, value", [("--depth", 300), ("--skeleton", 300),
+                                         ("--depth", 0), ("--skeleton", -1)])
 def test_tree_caps_reject_before_work(tmp_path, capsys, monkeypatch, flag,
                                       value):
-    def no_work(*args, **kwargs):
-        raise AssertionError("oversized run started")
-
     monkeypatch.setattr(greenray.cli, "GreenSystem", None)
     monkeypatch.setattr(greenray.cli, "build_quadratic_tree", no_work)
     monkeypatch.setattr(greenray.cli, "skeleton", no_work)
@@ -122,7 +126,24 @@ def test_tree_caps_reject_before_work(tmp_path, capsys, monkeypatch, flag,
                 *(str(a) for kv in args.items() for a in kv)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: InvalidInput: {flag} {value} exceeds the cap")
+    reason = "exceeds the cap" if value > 0 else \
+        f"is below {1 if flag == '--depth' else 0}"
+    assert err.startswith(f"error: InvalidInput: {flag} {value} {reason}")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--nx", 513), ("--ny", 100000),
+                                         ("--nx", 0)])
+def test_green_grid_caps_reject_before_work(tmp_path, capsys, monkeypatch,
+                                            flag, value):
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    monkeypatch.setattr(greenray.cli, "escape_green", no_work)
+    out = tmp_path / "x"
+    assert run(["--output-dir", out, "green", "--c", "-1",
+                flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidInput: {flag} {value} is outside "
+                          f"[1, {greenray.cli.MAX_GRID_SIDE}]")
     assert list(out.iterdir()) == []
 
 
@@ -213,6 +234,30 @@ def test_probe_command(tmp_path):
                 "--probe-g", "0.05", "--displacement-points", "3"]) == 0
     assert (out / "probe_quotients.csv").exists()
     assert (out / "displacement.csv").exists()
+
+
+def test_rectify_without_hausdorff_rays_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["--output-dir", out, "rectify", "--source-c=-3",
+                "--target-c=-5", "--samples", "2", "--hausdorff",
+                "--hausdorff-rays", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidInput: --hausdorff-rays 0 is below 1")
+    assert list(out.iterdir()) == []
+
+
+def test_probe_builds_cloud_once(tmp_path, monkeypatch):
+    depths = []
+
+    def counted(sys_, depth=14):
+        depths.append(depth)
+        return julia_samples(sys_, depth)
+
+    monkeypatch.setattr(greenray.cli, "julia_samples", counted)
+    monkeypatch.setattr(greenray.rectify, "julia_samples", counted)
+    assert run(["--output-dir", tmp_path / "p", "probe", "--c", "-1",
+                "--radii", "0.1", "--displacement-points", "4"]) == 0
+    assert depths == [14]
 
 
 def test_svg_outputs(tmp_path):

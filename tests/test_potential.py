@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenray.potential
 from greenray.angles import circ_dist
 from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
-                             InsideK, NonFinite, OnSkeleton, RayCrash)
-from greenray.potential import (G_FAR, GreenSystem, QuadraticParams,
+                             InsideK, InvalidInput, NonFinite, OnSkeleton,
+                             RayCrash)
+from greenray.potential import (G_FAR, MAX_JULIA_DEPTH, GreenSystem,
+                                QuadraticParams,
                                 _crash_level, _far_points,
                                 critical_potential, descend_rays_bulk,
                                 escape_green, invert_green_coords,
@@ -707,6 +710,14 @@ def test_julia_samples_on_circle(sys_0):
     pts = julia_samples(sys_0, 8)
     assert pts.shape == (256,)
     assert np.max(np.abs(np.abs(pts) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("depth", [-1, MAX_JULIA_DEPTH + 1])
+def test_julia_samples_depth_capped(sys_0, monkeypatch, depth):
+    # numpy is unreachable: a rejected depth allocates nothing
+    monkeypatch.setattr(greenray.potential, "np", None)
+    with pytest.raises(InvalidInput, match=f"depth {depth} is outside"):
+        julia_samples(sys_0, depth)
 
 
 def test_julia_samples_real_cantor(sys_m3):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from greenray.errors import (CombinatoricsMismatch, Connected, GreenrayError,
-                             InsideK)
+                             InsideK, InvalidInput)
 from greenray.potential import (GreenSystem, critical_potential, escape_green,
                                 invert_green_coords, julia_samples,
                                 log_bottcher, trace_equipotential, trace_ray)
-from greenray.rectify import (ContinuumMap, TransportMap,
+from greenray.rectify import (ContinuumMap, TransportMap, _cloud_distances,
                               boundary_derivative_probe, build_quadratic_pair,
                               chordal_distance, continuum_map,
                               convergence_study, quasihyperbolic_displacement,
@@ -290,6 +291,76 @@ def test_displacement_basilica_bounded(sys_m1):
         z = invert_green_coords(sys_m1, (theta % 1.0, 0.035))
         est = quasihyperbolic_displacement(cm, z, boundary=cloud)
         assert est.estimate / 2.0 <= est.log_c + 0.1
+
+
+@st.composite
+def clouds_and_queries(draw):
+    """A cloud (duplicates allowed) and queries inside its hull, far away,
+    or a single point; extents from 1e-12 to 1e3 around an offset centre."""
+    scale = draw(st.sampled_from([1e-12, 1e-6, 1.0, 1e3]))
+    centre = complex(draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)))
+    unit = st.floats(-1.0, 1.0)
+    xy = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=40))
+    cloud = centre + scale * np.array([complex(x, y) for x, y in xy])
+    dups = draw(st.lists(st.integers(0, len(cloud) - 1), max_size=8))
+    cloud = np.concatenate([cloud, cloud[dups]])
+    kind = draw(st.sampled_from(["hull", "far", "single"]))
+    n = 1 if kind == "single" else draw(st.integers(1, 30))
+    if kind == "far":
+        r = st.floats(-1e3, 1e3)
+        pts = centre + scale * np.array(
+            [complex(draw(r), draw(r)) for _ in range(n)])
+    else:
+        pts = []
+        for _ in range(n):
+            ws = draw(st.lists(st.integers(0, 8), min_size=len(cloud),
+                               max_size=len(cloud)))
+            total = sum(ws)
+            pts.append(cloud[0] if total == 0 else
+                       sum(w * p for w, p in zip(ws, cloud)) / total)
+        pts = np.array(pts)
+    return cloud, pts
+
+
+@given(clouds_and_queries())
+@settings(max_examples=150, deadline=None)
+def test_cloud_distances_equal_full_tree(case):
+    cloud, pts = case
+    full, _ = cKDTree(np.c_[cloud.real, cloud.imag]).query(
+        np.c_[pts.real, pts.imag])
+    assert _cloud_distances(cloud, pts).tobytes() == full.tobytes()
+
+
+def test_cloud_distances_unit_circle(sys_0):
+    # at c = 0 the cloud is the N-th roots of unity: the distance is at
+    # least ||z| - 1| and at most that plus the chord 2 sin(pi/2N) to the
+    # nearest root from z/|z|
+    n = 1 << 10
+    cloud = julia_samples(sys_0, 10)
+    rng = np.random.default_rng(11)
+    r = np.concatenate([rng.uniform(0.0, 0.99, 100), rng.uniform(1.01, 3.0, 200),
+                        1.0 + rng.uniform(-1e-3, 1e-3, 100)])
+    z = r * np.exp(2j * np.pi * rng.random(r.size))
+    d = _cloud_distances(cloud, z)
+    gap = np.abs(np.abs(z) - 1.0)
+    assert np.all(d >= gap - 1e-15)
+    assert np.all(d <= gap + 2.0 * math.sin(math.pi / (2 * n)) + 1e-15)
+
+
+@pytest.mark.parametrize("cloud, reason", [
+    (np.array([], complex), "empty"),
+    (np.array([1.0, complex(math.nan, 0.0), -1.0]), "non-finite"),
+    (np.array([1.0, complex(0.0, math.inf)]), "non-finite")])
+def test_bad_cloud_is_invalid_input(sys_0, cloud, reason):
+    cm = ContinuumMap(sys_0, PotentialHomeo.scaling(1.5))
+    with pytest.raises(InvalidInput, match=reason):
+        quasihyperbolic_displacement(cm, 1.5 + 0.0j, boundary=cloud)
+
+
+def test_boundary_distance_needs_a_ray():
+    tm = build_quadratic_pair(-3.0, -5.0, depth=2)
+    with pytest.raises(InvalidInput, match="n_rays"):
+        transported_boundary_distance(tm, n_rays=0)
 
 
 # ---------------------------------------------------------------------------
