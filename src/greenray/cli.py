@@ -44,6 +44,12 @@ MAX_SKELETON_DEPTH = 12
 # held in memory as CSV rows: at c = -1 on a 2-core machine a 512 x 512
 # grid took 1.9 s and wrote 17 MB, and each doubling of the side is 4x.
 MAX_GRID_SIDE = 512
+# Cap on `rectify --samples`, `converge --samples` and
+# `probe --displacement-points`.  Each sample is one transport or
+# displacement query: on a 2-core machine 2000 rectify samples (c = -3 to
+# -5) took 1.9 s, 1024 converge samples over the default seven n 2.6 s and
+# 1024 probe points at c = -1 2.1 s.
+MAX_SAMPLES = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +183,15 @@ def _ring_points(sys: GreenSystem, g: float, n: int) -> list[complex]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _check_count(flag: str, n: int, cap: int) -> None:
+    """InvalidInput naming the flag unless 1 <= n <= cap."""
+    if not 1 <= n <= cap:
+        raise InvalidInput(f"{flag} {n} is outside [1, {cap}]")
+
+
 def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
-    for flag, n in (("--nx", args.nx), ("--ny", args.ny)):
-        if not 1 <= n <= MAX_GRID_SIDE:
-            raise InvalidInput(f"{flag} {n} is outside [1, {MAX_GRID_SIDE}]")
+    _check_count("--nx", args.nx, MAX_GRID_SIDE)
+    _check_count("--ny", args.ny, MAX_GRID_SIDE)
     sys_ = _build_system(args, cfg)
     x0, x1, y0, y1 = _parse_values("--window", args.window, float, (4,))
     rows = []
@@ -277,6 +288,7 @@ def _cmd_collapse(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
+    _check_count("--samples", args.samples, MAX_SAMPLES)
     if args.hausdorff and args.hausdorff_rays < 1:
         raise InvalidInput(f"--hausdorff-rays {args.hausdorff_rays} is below 1")
     vs = _structure_from_args(args)
@@ -327,6 +339,7 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
+    _check_count("--samples", args.samples, MAX_SAMPLES)
     src = GreenSystem.from_c(complex(args.source_c, 0.0))
     tgt = GreenSystem.from_c(complex(args.target_c, 0.0))
     vs = _structure_from_args(args)
@@ -341,6 +354,8 @@ def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
+    _check_count("--displacement-points", args.displacement_points,
+                 MAX_SAMPLES)
     sys_ = _build_system(args, cfg)
     cm = ContinuumMap(sys_, _parse_k(args.k))
     radii = _parse_values("--radii", args.radii, float)
@@ -450,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="id")
     p.add_argument("--pair-k", action="store_true", dest="pair_k",
                    help="use the dyadic-level pairing map for k")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=200,
+                   help=f"exterior samples, at most {MAX_SAMPLES}")
     p.add_argument("--emit", default="csv,json", help="any of csv,svg,json")
     p.add_argument("--hausdorff", action="store_true",
                    help="also measure transported boundary proximity")
@@ -465,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", default="id")
     p.add_argument("--k", default="id")
     p.add_argument("--n-list", default="1,2,4,8,16,32,64", dest="n_list")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=64,
+                   help=f"ring samples, at most {MAX_SAMPLES}")
     p.add_argument("--ring-g", type=float, default=None, dest="ring_g")
     p.set_defaults(func=_cmd_converge)
 
@@ -476,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0.1,0.01,0.001")
     p.add_argument("--probe-g", type=float, default=0.05, dest="probe_g")
     p.add_argument("--displacement-points", type=int, default=16,
-                   dest="displacement_points")
+                   dest="displacement_points",
+                   help=f"displacement queries, at most {MAX_SAMPLES}")
     p.set_defaults(func=_cmd_probe)
 
     return ap

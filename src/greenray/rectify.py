@@ -265,8 +265,11 @@ def convergence_study(tm: TransportMap, n_list: Sequence[int],
     For each n the structure is replaced by (d_n, k_n) from the slope
     capping / flat ramping constructions and the transported images are
     compared over the sample grid; samples where either transport fails are
-    dropped and counted.
+    dropped and counted.  An empty sample set raises InvalidInput: its
+    sup would read 0 and certify nothing.
     """
+    if len(samples) == 0:
+        raise InvalidInput("convergence_study needs at least one sample")
     ref: dict[int, complex] = {}
     for i, z in enumerate(samples):
         try:

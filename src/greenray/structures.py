@@ -23,13 +23,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import angles as ang
 from .errors import (InvalidInput, NotAdmissible, OverlappingWindows, RootNode,
                      SchemaError)
-from .tree import (AnalyticTree, ThinnessReport, TreeNode, _dec_num, _enc_num,
-                   angular_invariant, root_invariant, thinness_report)
+from .tree import (AnalyticTree, ThinnessReport, TreeNode, _dec_float,
+                   _enc_num, _number_decoder, angular_invariant,
+                   root_invariant, thinness_report)
 
 @dataclass(frozen=True)
 class CircleCDF:
@@ -89,17 +90,37 @@ class CircleCDF:
         return tuple(out)
 
 
+def _as_float(x) -> float:
+    """float(x) for a Fraction, float or int, by one division.
+
+    The same correctly rounded value as float(x).  Before Python 3.12,
+    float(Fraction) runs numbers.Rational.__float__, which reads both
+    properties and calls int() on each: about three times the cost.
+    """
+    num, den = x.as_integer_ratio()
+    return num / den
+
+
 def measure_of(d: Callable[[float], float], windows: Sequence[tuple]) -> float:
-    """mu_d mass of a disjoint interval family: sum of d(b) - d(a)."""
-    pieces = sorted((float(lo), float(hi)) for lo, hi in windows)
-    for (a0, b0), (a1, b1) in zip(pieces, pieces[1:]):
+    """mu_d mass of a disjoint interval family: sum of d(b) - d(a).
+
+    The pieces are summed in their stored order.
+    """
+    return _mass(d, [(_as_float(lo), _as_float(hi)) for lo, hi in windows])
+
+
+def _mass(d: Callable[[float], float],
+          pieces: list[tuple[float, float]]) -> float:
+    """:func:`measure_of` on pieces already converted to floats."""
+    ordered = sorted(pieces)
+    for (a0, b0), (a1, b1) in zip(ordered, ordered[1:]):
         if a1 < b0:
             raise OverlappingWindows(f"intervals ({a0},{b0}) and ({a1},{b1}) overlap")
-    if pieces and pieces[0][0] < 0.0:
+    if ordered and ordered[0][0] < 0.0:
         raise InvalidInput("intervals must lie in [0, 1]")
     total = 0.0
-    for lo, hi in windows:
-        total += d(float(hi)) - d(float(lo))
+    for lo, hi in pieces:
+        total += d(hi) - d(lo)
     return total
 
 
@@ -271,55 +292,95 @@ def admissible(tree: AnalyticTree, vs: VirtualStructure,
 # Combinatorial collapsing
 # ---------------------------------------------------------------------------
 
-_Image = tuple[dict[float, float], float]     # d on a node's points, mu_d mass
+class _NodeImage(NamedTuple):
+    """A node's window and accesses as floats, d at them, and the mu_d mass."""
+
+    pieces: list[tuple[float, float]]         # the window, in stored order
+    outer: tuple[float, float] | None
+    inner: tuple[float, float] | None
+    d: dict[float, float]
+    mass: float
 
 
-def _d_image(d: CircleCDF, node: TreeNode) -> _Image:
-    """d at the node's window endpoints and accesses, and its mu_d mass.
+def _float_pair(pair) -> tuple[float, float] | None:
+    return None if pair is None else (_as_float(pair[0]), _as_float(pair[1]))
 
-    The one place collapse evaluates d, once per annulus.
+
+def _d_image(d: CircleCDF, node: TreeNode) -> _NodeImage:
+    """The node's endpoints as floats, d at each of them, and its mu_d mass.
+
+    The one place collapse converts a node's endpoints and evaluates d,
+    once per annulus; everything after reads the floats.
     """
-    points = [x for piece in node.windows for x in piece]
-    points += [*(node.outer_accesses or ()), *(node.inner_accesses or ())]
-    image = {x: d(x) for x in set(map(float, points))}
-    return image, measure_of(image.__getitem__, node.windows)
+    pieces = [(_as_float(lo), _as_float(hi)) for lo, hi in node.windows]
+    outer = _float_pair(node.outer_accesses)
+    inner = _float_pair(node.inner_accesses)
+    points = {x for piece in pieces for x in piece}
+    points.update(outer or ())
+    points.update(inner or ())
+    image = {x: d(x) for x in points}
+    return _NodeImage(pieces, outer, inner, image,
+                      _mass(image.__getitem__, pieces))
 
 
-def _chain_positions(chain: list[TreeNode], d: Callable[[float], float],
-                     total: float) -> tuple[float, float]:
+def _entering(view: _NodeImage, pair: tuple[float, float]) -> int:
+    """Index of the piece whose left end is the entering access of the pair.
+
+    :func:`angles.entering_access` on the float view.
+    """
+    lefts = [lo for lo, _ in view.pieces]
+    hits = [a for a in pair if a in lefts]
+    if len(hits) != 1:
+        raise InvalidInput(f"expected exactly one entering access, got {hits}")
+    return lefts.index(hits[0])
+
+
+def _offset(view: _NodeImage, start: int, theta: float,
+            d_theta: float) -> float:
+    """mu_d mass swept ccw inside the window from piece `start` to theta.
+
+    :func:`angles.cumulative_position_d` on the float view, with the same
+    sums in the same order; d_theta is d(theta).
+    """
+    pieces, d = view.pieces, view.d
+    acc = 0.0
+    for lo, hi in pieces[start:] + pieces[:start]:
+        if lo <= theta <= hi:
+            return acc + (d_theta - d[lo])
+        acc += d[hi] - d[lo]
+    raise InvalidInput("theta is not inside the window")
+
+
+def _chain_positions(chain: list[_NodeImage]) -> tuple[float, float]:
     """Normalized mu_d positions of the bottom inner accesses in the top window.
 
     Positions are measured from the entering outer access of the top
-    annulus, whose mu_d mass is `total`; also checks that the per-level
+    annulus.  A chain of two or more annuli also checks that the per-level
     summation of link offsets telescopes to the same positions (to 1e-12),
-    the two classical expressions for the merged invariant.
+    the two classical expressions for the merged invariant; for one annulus
+    the two are the same sum.
     """
     top, bot = chain[0], chain[-1]
-    origin = ang.entering_access(top.windows, top.outer_accesses)
-    b1, b2 = bot.inner_accesses
-    direct = [ang.cumulative_position_d(top.windows, origin, b, d) for b in (b1, b2)]
-
-    # summation form: per link, the mu_d offset of the entering access of the
-    # next annulus inside the current one; the last link contributes the
-    # access offsets themselves
-    acc = 0.0
-    for cur, nxt in zip(chain, chain[1:]):
-        link = ang.entering_access(nxt.windows, cur.inner_accesses)
-        acc += ang.cumulative_position_d(cur.windows, ang.entering_access(
-            cur.windows, cur.outer_accesses), link, d)
-    summed = []
-    last_origin = ang.entering_access(bot.windows, bot.outer_accesses)
-    for b in (b1, b2):
-        s = acc + ang.cumulative_position_d(bot.windows, last_origin, b, d)
-        summed.append(s)
-    for sd, sm in zip(direct, summed):
-        delta = abs((sd - sm) / total % 1.0)
-        delta = min(delta, 1.0 - delta)
-        if delta > 1e-12:
-            raise AssertionError(
-                "telescoped and summed angular invariants disagree: "
-                f"{sd / total} vs {sm / total}")
-    return direct[0] / total, direct[1] / total
+    origin = _entering(top, top.outer)
+    direct = [_offset(top, origin, b, bot.d[b]) for b in bot.inner]
+    if len(chain) > 1:
+        # summation form: per link, the mu_d offset of the entering access
+        # of the next annulus inside the current one; the last link
+        # contributes the access offsets themselves
+        acc = 0.0
+        for cur, nxt in zip(chain, chain[1:]):
+            link = nxt.pieces[_entering(nxt, cur.inner)][0]
+            acc += _offset(cur, _entering(cur, cur.outer), link, cur.d[link])
+        last_origin = _entering(bot, bot.outer)
+        for sd, b in zip(direct, bot.inner):
+            sm = acc + _offset(bot, last_origin, b, bot.d[b])
+            delta = abs((sd - sm) / top.mass % 1.0)
+            delta = min(delta, 1.0 - delta)
+            if delta > 1e-12:
+                raise AssertionError(
+                    "telescoped and summed angular invariants disagree: "
+                    f"{sd / top.mass} vs {sm / top.mass}")
+    return direct[0] / top.mass, direct[1] / top.mass
 
 
 def collapse(tree: AnalyticTree, vs: VirtualStructure,
@@ -333,17 +394,16 @@ def collapse(tree: AnalyticTree, vs: VirtualStructure,
     threshold; otherwise the caller vouches for admissibility.
 
     Each annulus is mapped through d once, by :func:`_d_image`, and its
-    image is handed down the recursion.
+    float view is handed down the recursion.
     """
     d, k = vs.d, vs.k
     if m0 is not None:
         admissible(tree, vs, m0).require_certified()
 
-    def alive_children(node: TreeNode) -> list[tuple[TreeNode, _Image]]:
+    def alive_children(node: TreeNode) -> list[tuple[TreeNode, _NodeImage]]:
         kids = [tree.nodes[c] for c in node.children]
-        images = [_d_image(d, kid) for kid in kids]
-        alive = [(kid, image) for kid, image in zip(kids, images)
-                 if image[1] > 0.0]
+        views = [(kid, _d_image(d, kid)) for kid in kids]
+        alive = [(kid, view) for kid, view in views if view.mass > 0.0]
         if kids and not alive and not node.is_root:
             raise AssertionError(
                 "both children deleted under a surviving vertex")
@@ -352,34 +412,31 @@ def collapse(tree: AnalyticTree, vs: VirtualStructure,
     new_nodes: dict[int, TreeNode] = {}
     next_id = [0]
 
-    def build(top: TreeNode, image: _Image, new_depth: int) -> int:
-        chain = [(top, image)]
+    def build(top: TreeNode, view: _NodeImage, new_depth: int) -> int:
+        chain = [(top, view)]
         alive = alive_children(top)
         while len(alive) == 1:
             chain.append(alive[0])
             alive = alive_children(alive[0][0])
-        bot = chain[-1][0]
-        # d on the points of the whole chain, read from its images
-        d_chain = {x: dx for _, (points, _) in chain
-                   for x, dx in points.items()}.__getitem__
+        bot, bot_view = chain[-1]
 
-        mu = image[1]
+        mu = view.mass
+        image = view.d
         new_windows = ang.normalize_window(
-            [(d_chain(float(lo)), d_chain(float(hi))) for lo, hi in top.windows])
+            [(image[lo], image[hi]) for lo, hi in view.pieces])
         if top.is_root:
             g_plus = math.inf
             modulus = math.inf
         else:
             g_plus = k(top.g_plus)
             modulus = 0.0
-            for a, (_, mu_a) in chain:
-                modulus += _weighted_modulus(a, mu_a, k)
+            for a, a_view in chain:
+                modulus += _weighted_modulus(a, a_view.mass, k)
         g_minus = k(bot.g_minus)
 
-        outer = None if top.is_root else \
-            tuple(d_chain(float(x)) for x in top.outer_accesses)
-        inner = None if bot.inner_accesses is None else \
-            tuple(d_chain(float(x)) for x in bot.inner_accesses)
+        outer = None if top.is_root else tuple(image[x] for x in view.outer)
+        inner = None if bot_view.inner is None else \
+            tuple(bot_view.d[x] for x in bot_view.inner)
 
         if inner is None:
             invariant = (0.0, 0.0)
@@ -387,12 +444,12 @@ def collapse(tree: AnalyticTree, vs: VirtualStructure,
             invariant = root_invariant(inner)
         else:
             invariant = angular_invariant(_chain_positions(
-                [a for a, _ in chain], d_chain, mu))
+                [a_view for _, a_view in chain]))
 
         nid = next_id[0]
         next_id[0] += 1
-        kid_ids = [build(kid, kid_image, new_depth + 1)
-                   for kid, kid_image in alive]
+        kid_ids = [build(kid, kid_view, new_depth + 1)
+                   for kid, kid_view in alive]
         new_nodes[nid] = TreeNode(
             id=nid, depth=new_depth,
             g_minus=g_minus, g_plus=g_plus,
@@ -494,9 +551,12 @@ def deserialize_structure(data: str | dict) -> VirtualStructure:
             raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or data.get("schema") != _SCHEMA:
         raise SchemaError("not a greenray structure document")
+    dec = _number_decoder()
     try:
-        d = CircleCDF(tuple((_dec_num(x, "d"), float(y)) for x, y in data["d"]))
-        k = PotentialHomeo(tuple((float(x), float(y)) for x, y in data["k"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        d = CircleCDF(tuple((dec(x, "d"), _dec_float(y, "d"))
+                            for x, y in data["d"]))
+        k = PotentialHomeo(tuple((_dec_float(x, "k"), _dec_float(y, "k"))
+                                 for x, y in data["k"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed structure document: {exc}") from None
     return VirtualStructure(d, k)

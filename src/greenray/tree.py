@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import angles as ang
 from .errors import (Connected, InvalidInput, RootHasInfiniteModulus,
@@ -282,28 +282,57 @@ def _enc_num(x) -> object:
     return x
 
 
-def _dec_num(v, what: str):
-    if isinstance(v, list):
-        if len(v) != 2 or not all(isinstance(t, int) for t in v) or v[1] == 0:
-            raise SchemaError(f"bad rational in {what}")
-        return Fraction(v[0], v[1])
-    if v is None:
-        return math.inf
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise SchemaError(f"bad number in {what}")
+def _number_decoder() -> Callable[[object, str], object]:
+    """Decoder of the JSON number codec for one document.
+
+    [n, d] with int entries and d != 0 is a Fraction, null is inf and a
+    plain number is a float.  Equal [n, d] pairs decode to one shared
+    Fraction, as :func:`angles._fraction_view` shares equal endpoints.
+    """
+    made: dict[tuple[int, int], Fraction] = {}
+
+    def dec(v, what: str):
+        if isinstance(v, list):
+            if len(v) != 2:
+                raise SchemaError(f"bad rational in {what}")
+            num, den = v
+            # exactly int: a boolean is not a number
+            if type(num) is not int or type(den) is not int or den == 0:
+                raise SchemaError(f"bad rational in {what}")
+            f = made.get((num, den))
+            if f is None:
+                f = made[num, den] = Fraction(num, den)
+            return f
+        if v is None:
+            return math.inf
+        return _dec_float(v, what)
+    return dec
+
+
+def _dec_float(v, what: str) -> float:
+    """A plain JSON number as a float; a boolean is not a number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"bad number in {what}")
+    return float(v)
+
+
+def _dec_int(v, what: str) -> int:
+    """A JSON integer; a boolean is not one."""
+    if type(v) is not int:
+        raise SchemaError(f"bad integer in {what}")
+    return v
 
 
 def _enc_pair(p) -> object:
     return None if p is None else [_enc_num(p[0]), _enc_num(p[1])]
 
 
-def _dec_pair(v, what: str):
+def _dec_pair(dec, v, what: str):
     if v is None:
         return None
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"bad pair in {what}")
-    return (_dec_num(v[0], what), _dec_num(v[1], what))
+    return (dec(v[0], what), dec(v[1], what))
 
 
 def tree_to_dict(tree: AnalyticTree) -> dict:
@@ -338,6 +367,23 @@ def serialize_tree(tree: AnalyticTree) -> str:
     return json.dumps(tree_to_dict(tree), sort_keys=True, separators=(",", ":"))
 
 
+def _window_mass(window: ang.Window) -> float:
+    """float(angles.window_measure(window)), exactly in integers.
+
+    Rational endpoints go on one common denominator and the integer sum is
+    divided once, the correctly rounded float of the exact measure, as
+    float(Fraction) gives.  A window with a float endpoint (a collapsed
+    tree) keeps the float sum.
+    """
+    if any(isinstance(x, float) for piece in window for x in piece):
+        return float(ang.window_measure(window))
+    ends = [x.as_integer_ratio() for piece in window for x in piece]
+    den = math.lcm(*(d for _, d in ends))
+    num = sum(n * (den // d) for n, d in ends[1::2]) - \
+        sum(n * (den // d) for n, d in ends[::2])
+    return num / den
+
+
 def _validate_tree(tree: AnalyticTree) -> None:
     root = tree.nodes.get(tree.root_id)
     if root is None or not root.is_root:
@@ -353,7 +399,7 @@ def _validate_tree(tree: AnalyticTree) -> None:
             if not math.isclose(n.modulus, want, rel_tol=1e-12, abs_tol=1e-300):
                 raise SchemaError(f"node {n.id} modulus violates the "
                                   "cylinder formula")
-        mu = float(ang.window_measure(n.windows))
+        mu = _window_mass(n.windows)
         if not math.isclose(mu, n.harmonic_measure, rel_tol=1e-12, abs_tol=1e-15):
             raise SchemaError(f"node {n.id} harmonic measure does not match "
                               "its windows")
@@ -385,34 +431,41 @@ def deserialize_tree(data: str | dict) -> AnalyticTree:
             raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or data.get("schema") != _SCHEMA:
         raise SchemaError("not a greenray tree document")
+    dec = _number_decoder()
     try:
         nodes: dict[int, TreeNode] = {}
         for rec in data["nodes"]:
-            windows = tuple((_dec_num(lo, "window"), _dec_num(hi, "window"))
+            windows = tuple((dec(lo, "window"), dec(hi, "window"))
                             for lo, hi in rec["windows"])
+            invariant = rec["angular_invariant"]
             node = TreeNode(
-                id=int(rec["id"]), depth=int(rec["depth"]),
-                g_minus=float(rec["g_minus"]),
-                g_plus=_dec_num(rec["g_plus"], "g_plus"),
+                id=_dec_int(rec["id"], "id"),
+                depth=_dec_int(rec["depth"], "depth"),
+                g_minus=_dec_float(rec["g_minus"], "g_minus"),
+                g_plus=dec(rec["g_plus"], "g_plus"),
                 windows=windows,
-                harmonic_measure=float(rec["harmonic_measure"]),
-                modulus=_dec_num(rec["modulus"], "modulus"),
-                angular_invariant=(float(rec["angular_invariant"][0]),
-                                   float(rec["angular_invariant"][1])),
-                outer_accesses=_dec_pair(rec["outer_accesses"], "outer"),
-                inner_accesses=_dec_pair(rec["inner_accesses"], "inner"),
-                children=tuple(int(c) for c in rec["children"]),
+                harmonic_measure=_dec_float(rec["harmonic_measure"],
+                                            "harmonic_measure"),
+                modulus=dec(rec["modulus"], "modulus"),
+                angular_invariant=(_dec_float(invariant[0], "invariant"),
+                                   _dec_float(invariant[1], "invariant")),
+                outer_accesses=_dec_pair(dec, rec["outer_accesses"], "outer"),
+                inner_accesses=_dec_pair(dec, rec["inner_accesses"], "inner"),
+                children=tuple(_dec_int(c, "children")
+                               for c in rec["children"]),
                 is_end=bool(rec["is_end"]))
             if node.id in nodes:
                 raise SchemaError(f"duplicate node id {node.id}")
             nodes[node.id] = node
+        potential = data["critical_potential"]
         tree = AnalyticTree(
-            nodes=nodes, root_id=int(data["root"]),
+            nodes=nodes, root_id=_dec_int(data["root"], "root"),
             source=dict(data["source"]),
-            truncation_depth=int(data["truncation_depth"]),
-            critical_potential=(None if data["critical_potential"] is None
-                                else float(data["critical_potential"])))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+            truncation_depth=_dec_int(data["truncation_depth"],
+                                      "truncation_depth"),
+            critical_potential=(None if potential is None else
+                                _dec_float(potential, "critical_potential")))
+        _validate_tree(tree)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SchemaError(f"malformed tree document: {exc}") from None
-    _validate_tree(tree)
     return tree

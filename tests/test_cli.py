@@ -147,6 +147,26 @@ def test_green_grid_caps_reject_before_work(tmp_path, capsys, monkeypatch,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rectify", "--source-c=-3", "--target-c=-5"], "--samples"),
+    (["converge", "--source-c=-3", "--target-c=-5"], "--samples"),
+    (["probe", "--c", "-1"], "--displacement-points"),
+], ids=["rectify", "converge", "probe"])
+@pytest.mark.parametrize("value", [-3, 0, greenray.cli.MAX_SAMPLES + 1])
+def test_sample_counts_reject_before_work(tmp_path, capsys, monkeypatch, argv,
+                                          flag, value):
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    for name in ("build_quadratic_pair", "TransportMap", "convergence_study",
+                 "ContinuumMap", "julia_samples", "_build_system"):
+        monkeypatch.setattr(greenray.cli, name, no_work)
+    out = tmp_path / "x"
+    assert run(["--output-dir", out, *argv, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidInput: {flag} {value} is outside "
+                          f"[1, {greenray.cli.MAX_SAMPLES}]")
+    assert list(out.iterdir()) == []
+
+
 def test_ray_crash_maps_to_error_name(tmp_path, capsys):
     code = run(["--output-dir", tmp_path / "x", "ray", "--c", "-3",
                 "--angle", "1/4", "--g-lo", "0.05", "--g-hi", "1.0",

@@ -436,6 +436,14 @@ def test_convergence_drops_library_errors_only(sys_0):
     assert not isinstance(exc.value, GreenrayError)
 
 
+@pytest.mark.parametrize("samples", [[], np.empty(0, complex)],
+                         ids=["list", "array"])
+def test_convergence_needs_a_sample(sys_0, samples):
+    tm = TransportMap(sys_0, sys_0, VirtualStructure.identity())
+    with pytest.raises(InvalidInput, match="at least one sample"):
+        convergence_study(tm, [1, 2], samples)
+
+
 def test_convergence_pair_exact_once_uncapped():
     tm = build_quadratic_pair(-3.0, -5.0, depth=10)
     g0 = critical_potential(tm.source)

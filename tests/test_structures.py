@@ -17,7 +17,8 @@ from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                                  measure_of, mod_xi, serialize_structure)
 from greenray.potential import GreenSystem
 from greenray.tree import (AnalyticTree, TreeNode, abstract_binary_tree,
-                           build_quadratic_tree, serialize_tree)
+                           build_quadratic_tree, deserialize_tree,
+                           serialize_tree)
 
 TWO_PI = 2.0 * math.pi
 
@@ -401,7 +402,6 @@ def test_collapsed_tree_serializes(tree_m3_d4):
                           PotentialHomeo.identity())
     out = collapse(tree_m3_d4, vs)
     s = serialize_tree(out)
-    from greenray.tree import deserialize_tree
     assert serialize_tree(deserialize_tree(s)) == s
 
 
@@ -452,6 +452,20 @@ def test_collapse_bytes_pinned(request, tree, structure, digest):
     tree = request.getfixturevalue(tree) if isinstance(tree, str) else tree()
     text = serialize_tree(collapse(tree, structure(tree)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("structure", [
+    lambda t: VirtualStructure.identity(),
+    _flat_at(3, 0, PotentialHomeo.identity()),
+    lambda t: VirtualStructure(STAIRCASE, PotentialHomeo.scaling(1.5)),
+], ids=["identity", "flat3", "staircase"])
+def test_collapse_of_decoded_tree_is_byte_equal(tree_m5_d8, structure):
+    # a decoded tree holds one Fraction per distinct [n, d] pair of its
+    # document, a built one the grid's; collapse reads only their values
+    vs = structure(tree_m5_d8)
+    decoded = deserialize_tree(serialize_tree(tree_m5_d8))
+    assert serialize_tree(collapse(decoded, vs)) == \
+        serialize_tree(collapse(tree_m5_d8, vs))
 
 
 def _hand_tree(kid_windows, grandkid_windows=None) -> AnalyticTree:
@@ -593,9 +607,10 @@ def test_structure_rejects_malformed():
                                "k": [[0.0, 0.0], [1.0, 1.0]]})
 
 
-@pytest.mark.parametrize("x", [None, [1, 2, 3], [1, 0], "0.5"],
+@pytest.mark.parametrize("x", [None, [1, 2, 3], [1, 0], "0.5", [10 ** 400, 1],
+                               10 ** 400],
                          ids=["null", "long_rational", "zero_denominator",
-                              "string"])
+                              "string", "huge_rational", "huge_int"])
 @pytest.mark.parametrize("at", [0, 1])
 def test_structure_rejects_malformed_number(x, at):
     d = [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
@@ -603,3 +618,18 @@ def test_structure_rejects_malformed_number(x, at):
     with pytest.raises(SchemaError):
         deserialize_structure({"schema": "greenray-structure/1", "d": d,
                                "k": [[0.0, 0.0], [1.0, 1.0]]})
+
+
+# each of these documents was accepted when a boolean read as 0 or 1
+@pytest.mark.parametrize("part, i, j, value", [
+    ("d", 1, 0, [True, 2]), ("d", 2, 0, True), ("d", 2, 1, True),
+    ("k", 0, 0, False), ("k", 1, 1, True),
+], ids=["d_rational", "d_x", "d_y", "k_x", "k_y"])
+def test_structure_rejects_booleans(part, i, j, value):
+    doc = {"schema": "greenray-structure/1",
+           "d": [[[0, 1], 0.0], [[1, 2], 0.5], [[1, 1], 1.0]],
+           "k": [[0.0, 0.0], [1.0, 1.0]]}
+    deserialize_structure(doc)
+    doc[part][i][j] = value
+    with pytest.raises(SchemaError, match="bad"):
+        deserialize_structure(doc)

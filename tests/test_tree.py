@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from greenray import angles as ang
 from greenray.errors import Connected, RootHasInfiniteModulus, SchemaError
 from greenray.potential import (GreenSystem, critical_potential,
                                 invert_green_coords)
 from greenray.structures import VirtualStructure, collapse
-from greenray.tree import (TreeNode, abstract_binary_tree,
+from greenray.tree import (AnalyticTree, TreeNode, _number_decoder,
+                           _window_mass, abstract_binary_tree,
                            build_quadratic_tree, deserialize_tree,
                            node_modulus, serialize_tree, thinness_report)
 
@@ -268,8 +272,159 @@ def test_deserialize_rejects_zero_denominator(tree_m3_d4):
         deserialize_tree(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("g_minus", 10 ** 400), ("windows", [[[10 ** 400, 1], [1, 1]]])])
+def test_deserialize_rejects_numbers_past_float_range(tree_m3_d4, field,
+                                                       value):
+    doc = json.loads(serialize_tree(tree_m3_d4))
+    doc["nodes"][1][field] = value
+    with pytest.raises(SchemaError, match="too large"):
+        deserialize_tree(doc)
+
+
 def test_deserialize_rejects_garbage():
     with pytest.raises(SchemaError):
         deserialize_tree("{not json")
     with pytest.raises(SchemaError):
         deserialize_tree({"schema": "something-else"})
+
+
+# ---------------------------------------------------------------------------
+# decoding and the exact measure check
+# ---------------------------------------------------------------------------
+
+def test_decoder_shares_equal_rationals():
+    dec = _number_decoder()
+    half = dec([1, 2], "window")
+    assert dec([1, 2], "window") is half
+    assert dec([2, 4], "window") == half == Fraction(1, 2)
+    assert dec(None, "modulus") == math.inf
+    assert dec(3, "g_plus") == 3.0 and type(dec(3, "g_plus")) is float
+    # a new document gets a new table
+    assert _number_decoder()([1, 2], "window") is not half
+
+
+@pytest.mark.parametrize("v", [[1, 0], [0, 0], [1.0, 2], [1, 2.0], ["1", 2],
+                               [True, 2], [1, False], [1, 2, 3], [1], []],
+                         ids=["zero_den", "zero_zero", "float_num", "float_den",
+                              "str_num", "bool_num", "bool_den", "long",
+                              "short", "empty"])
+def test_decoder_rejects_bad_rationals(v):
+    with pytest.raises(SchemaError, match="bad rational"):
+        _number_decoder()(v, "window")
+
+
+@pytest.mark.parametrize("v", [True, False, "0.5", {}])
+def test_decoder_rejects_non_numbers(v):
+    with pytest.raises(SchemaError, match="bad number"):
+        _number_decoder()(v, "g_plus")
+
+
+def test_deserialized_tree_shares_equal_endpoints(tree_m3_d4):
+    tree = deserialize_tree(serialize_tree(tree_m3_d4))
+    ends = [x for n in tree.nodes.values()
+            for x in (*(e for piece in n.windows for e in piece),
+                      *(n.outer_accesses or ()), *(n.inner_accesses or ()))]
+    assert len({id(x) for x in ends}) == len(set(ends))
+
+
+def test_deserialize_reads_unreduced_rationals(tree_m3_d4):
+    doc = json.loads(serialize_tree(tree_m3_d4))
+    for rec in doc["nodes"]:
+        rec["windows"] = [[[2 * n, 2 * d] for n, d in piece]
+                          for piece in rec["windows"]]
+    tree = deserialize_tree(doc)
+    assert serialize_tree(tree) == serialize_tree(tree_m3_d4)
+
+
+def _set_at(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+# each of these documents was accepted when a boolean read as 0 or 1
+@pytest.mark.parametrize("path, value", [
+    (("nodes", 0, "harmonic_measure"), True),
+    (("nodes", 0, "windows", 0, 1), [True, True]),
+    (("nodes", 0, "inner_accesses", 0), [True, 4]),
+    (("nodes", 0, "angular_invariant", 0), False),
+    (("nodes", 0, "children", 0), True),
+    (("nodes", 0, "depth"), False),
+    (("root",), False),
+], ids=["harmonic_measure", "window", "access", "invariant", "child",
+        "depth", "root"])
+def test_deserialize_rejects_booleans(tree_m3_d4, path, value):
+    doc = json.loads(serialize_tree(tree_m3_d4))
+    _set_at(doc, path, value)
+    with pytest.raises(SchemaError, match="bad"):
+        deserialize_tree(doc)
+
+
+@st.composite
+def rational_windows(draw):
+    """Disjoint sorted pieces as decoded [n, d] pairs: unreduced pairs,
+    mixed denominators and equal endpoints shared by neighbours."""
+    den = draw(st.integers(1, 10 ** 6))
+    cuts = sorted(set(draw(st.lists(st.integers(0, den), min_size=2,
+                                    max_size=12))))
+    dec = _number_decoder()
+    ends = []
+    for c in cuts:
+        k = draw(st.integers(1, 1000))            # [k c, k den] = c / den
+        ends.append(dec([k * c, k * den], "window"))
+    keep = draw(st.lists(st.booleans(), min_size=len(ends) - 1,
+                         max_size=len(ends) - 1))
+    return tuple((lo, hi) for (lo, hi), on in zip(zip(ends, ends[1:]), keep)
+                 if on)
+
+
+@given(rational_windows())
+@settings(max_examples=300, deadline=None)
+def test_window_mass_equals_fraction_measure(window):
+    assert _window_mass(window) == float(ang.window_measure(window))
+
+
+def test_window_mass_keeps_float_sum():
+    window = ((Fraction(1, 3), 0.5), (0.7, Fraction(9, 10)))
+    assert _window_mass(window) == float(ang.window_measure(window))
+
+
+def test_deep_measure_validates_exactly():
+    # 32 pieces of about 2^-22 near 1/2, on the grid 1/(3*2^53) where every
+    # left end rounds down and every right end rounds up by a third of an
+    # ulp: the float differences overshoot the exact mass ~2^-17 by about
+    # 2.4e-15, past the 1e-12 relative and 1e-15 absolute tolerance
+    den = 3 << 53
+    width = 3 << 31
+    los = [(3 << 52) + 1 + 2 * width * i for i in range(32)]
+    deep = tuple((Fraction(lo, den), Fraction(lo + width + 1, den))
+                 for lo in los)
+    rest = ang.normalize_window(
+        [(Fraction(0), deep[0][0])]
+        + [(a[1], b[0]) for a, b in zip(deep, deep[1:])]
+        + [(deep[-1][1], Fraction(1))])
+    exact = float(ang.window_measure(deep))
+    assert 2.0 ** -17 < exact < 2.0 ** -16
+    naive = sum(float(hi) - float(lo) for lo, hi in deep)
+    assert not math.isclose(naive, exact, rel_tol=1e-12, abs_tol=1e-15)
+
+    def node(nid, windows, g_minus=0.5, g_plus=1.0, children=()):
+        mu = float(ang.window_measure(windows))
+        return TreeNode(id=nid, depth=0 if nid == 0 else 1,
+                        g_minus=g_minus, g_plus=g_plus, windows=windows,
+                        harmonic_measure=mu,
+                        modulus=math.inf if nid == 0 else
+                        (g_plus - g_minus) / (TWO_PI * mu),
+                        angular_invariant=(0.5, 0.5),
+                        outer_accesses=None, inner_accesses=None,
+                        children=children)
+    tree = AnalyticTree(
+        nodes={0: node(0, ((Fraction(0), Fraction(1)),), 1.0, math.inf,
+                       (1, 2)),
+               1: node(1, deep), 2: node(2, rest)},
+        root_id=0, source={"kind": "abstract"}, truncation_depth=1)
+    back = deserialize_tree(serialize_tree(tree))
+    assert back.nodes[1].harmonic_measure == exact
+    assert _window_mass(back.nodes[1].windows) == exact
