@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ import numpy as np
 from . import render
 from .errors import ConfigError, GreenrayError, InvalidInput
 from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
-                        escape_green, invert_green_coords, julia_samples,
+                        escape_green, escape_green_bulk,
+                        invert_green_coords, julia_samples,
                         skeleton, trace_equipotential, trace_ray)
 from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
                       build_quadratic_pair, convergence_study,
@@ -40,15 +42,18 @@ GOLDEN = 0.6180339887498949
 # 3.7 s to build and a depth-8 skeleton 0.8 s.
 MAX_TREE_DEPTH = 16
 MAX_SKELETON_DEPTH = 12
-# Cap on `green --nx` and `--ny`.  The grid is walked point by point and
-# held in memory as CSV rows: at c = -1 on a 2-core machine a 512 x 512
-# grid took 1.9 s and wrote 17 MB, and each doubling of the side is 4x.
+# Cap on `green --nx` and `--ny`.  The grid is one batch and its CSV is
+# written row by row: at c = -1 on a 2-core machine a 512 x 512 grid took
+# 1.6 s and wrote 17 MB, and each doubling of the side is 4x.
 MAX_GRID_SIDE = 512
 # Cap on `rectify --samples`, `converge --samples` and
 # `probe --displacement-points`.  Each sample is one transport or
 # displacement query: on a 2-core machine 2000 rectify samples (c = -3 to
-# -5) took 1.9 s, 1024 converge samples over the default seven n 2.6 s and
-# 1024 probe points at c = -1 2.1 s.
+# -5) took 1.9 s, 1024 converge samples over the default seven n 0.7 s and
+# 1024 probe points at c = -1 2.1 s.  It also caps `ray --samples` and
+# `equipot --samples` (points per curve), which descend in one batch: at
+# c = -3, 16384 ray samples took 0.15 s and two curves of 16384 at
+# g = 0.3 1.3-1.7 s.
 MAX_SAMPLES = 16384
 
 
@@ -69,11 +74,15 @@ class ArtifactSink:
         return p
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        return self.write_text(name, "\n".join(lines) + "\n")
+        """Write each row as it is formatted; floats (Python floats, not
+        numpy ones) by repr."""
+        p = self.outdir / name
+        with p.open("w") as f:
+            f.write(",".join(header) + "\n")
+            f.writelines(",".join(repr(v) if isinstance(v, float) else str(v)
+                                  for v in row) + "\n" for row in rows)
+        self.paths.append(p)
+        return p
 
     def write_json(self, name: str, obj) -> Path:
         return self.write_text(
@@ -183,10 +192,10 @@ def _ring_points(sys: GreenSystem, g: float, n: int) -> list[complex]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _check_count(flag: str, n: int, cap: int) -> None:
-    """InvalidInput naming the flag unless 1 <= n <= cap."""
-    if not 1 <= n <= cap:
-        raise InvalidInput(f"{flag} {n} is outside [1, {cap}]")
+def _check_count(flag: str, n: int, cap: int, low: int = 1) -> None:
+    """InvalidInput naming the flag unless low <= n <= cap."""
+    if not low <= n <= cap:
+        raise InvalidInput(f"{flag} {n} is outside [{low}, {cap}]")
 
 
 def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
@@ -194,17 +203,19 @@ def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
     _check_count("--ny", args.ny, MAX_GRID_SIDE)
     sys_ = _build_system(args, cfg)
     x0, x1, y0, y1 = _parse_values("--window", args.window, float, (4,))
-    rows = []
-    for j in range(args.ny):
-        for i in range(args.nx):
-            re = x0 + (x1 - x0) * (i + 0.5) / args.nx
-            im = y0 + (y1 - y0) * (j + 0.5) / args.ny
-            g, err = escape_green(sys_, complex(re, im))
-            rows.append((re, im, g, err))
+    re = x0 + (x1 - x0) * (np.arange(args.nx) + 0.5) / args.nx
+    im = y0 + (y1 - y0) * (np.arange(args.ny) + 0.5) / args.ny
+    z = np.empty((args.ny, args.nx), dtype=complex)
+    z.real, z.imag = re, im[:, None]
+    g, err = escape_green_bulk(sys_, z)
+    re = re.tolist()
+    rows = (row for j, y in enumerate(im.tolist())
+            for row in zip(re, repeat(y), g[j].tolist(), err[j].tolist()))
     sink.write_csv("green.csv", ["re", "im", "potential", "err_bound"], rows)
 
 
 def _cmd_ray(args, cfg, sink: ArtifactSink) -> None:
+    _check_count("--samples", args.samples, MAX_SAMPLES, low=2)
     sys_ = _build_system(args, cfg)
     pts = trace_ray(sys_, _parse_angle(args.angle), args.g_lo, args.g_hi,
                     args.samples)
@@ -217,6 +228,7 @@ def _cmd_ray(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_equipot(args, cfg, sink: ArtifactSink) -> None:
+    _check_count("--samples", args.samples, MAX_SAMPLES, low=3)
     sys_ = _build_system(args, cfg)
     curves = trace_equipotential(sys_, args.g, args.samples)
     rows = []

@@ -171,34 +171,46 @@ def _escaped(a: float, n: int, tail: float) -> tuple[float, float]:
     return g, tail + math.ulp(g) + 4.0 * math.ulp(1.0)
 
 
+def _tail(a, n: int, ac: float, ldexp=math.ldexp):
+    """Harmonic tail |G - 2^-n log a| <= 2^-n |c| / (a^2 - |c|) at an
+    escaped |w_n| = a; `a` is a float, or an array with ldexp=np.ldexp."""
+    return ldexp(ac / (a * a - ac), -n)
+
+
+# The NonFinite messages of the escape loop; `escape_green_bulk` keeps the
+# index of each failed point's message.
+_NON_FINITE = ("input point is not finite",
+               "iterate overflow before escape certification; "
+               "escape_radius too large for the float range",
+               "iterate overflow")
+
+
 def _escape_green(params: QuadraticParams, z: complex) -> tuple[float, float]:
     c = params.c
     w = complex(z)
     if not cmath.isfinite(w):
-        raise NonFinite("input point is not finite")
+        raise NonFinite(_NON_FINITE[0])
     ac = abs(c)
     n = 0
     while n < params.max_iter:
         a = abs(w)
         if a >= params.escape_radius:
             # certified escaping: keep doubling until the harmonic tail
-            # |G - 2^-n log|w|| <= 2^-n |c| / (|w|^2 - |c|) drops below tol
-            err = math.ldexp(ac / (a * a - ac), -n) if a < _HUGE else 0.0
+            # drops below tol (the tail is 0 once a >= _HUGE)
+            err = _tail(a, n, ac) if a < _HUGE else 0.0
             if err <= 0.5 * params.tol or a >= _HUGE:
                 return _escaped(a, n, err)
         elif a >= _HUGE:
-            raise NonFinite(
-                "iterate overflow before escape certification; "
-                "escape_radius too large for the float range")
+            raise NonFinite(_NON_FINITE[1])
         w = w * w + c
         n += 1
         if not cmath.isfinite(w):
-            raise NonFinite("iterate overflow")
+            raise NonFinite(_NON_FINITE[2])
     a = abs(w)
     if a >= params.escape_radius:
         # escaped but the budget ran out before the tail bound met tol:
         # return the estimate with its honest (larger) bound
-        return _escaped(a, n, math.ldexp(ac / (a * a - ac), -n))
+        return _escaped(a, n, _tail(a, n, ac))
     return 0.0, params.tol
 
 
@@ -209,6 +221,64 @@ def escape_green(sys: GreenSystem, z: complex) -> tuple[float, float]:
     the point is treated as in or at the Julia set.
     """
     return _escape_green(sys.params, z)
+
+
+def escape_green_bulk(sys: GreenSystem, zs) -> tuple[np.ndarray, np.ndarray]:
+    """`escape_green` of every point of `zs`: arrays (g, err) of its shape.
+
+    All orbits step together, and each point leaves at its own certified
+    stop.  The result equals `escape_green` bit for bit, point by point:
+    the step is written on real and imaginary parts as Python's complex
+    product is, |w| is `np.hypot` as in `abs(complex)`, and each escaped
+    point is finished by the scalar `_escaped`.  If any point is not
+    finite or overflows, NonFinite is raised for the first such point in
+    order, as a loop over the points would raise it.
+    """
+    params = sys.params
+    z = np.asarray(zs, dtype=complex)
+    g = np.zeros(z.size)
+    err = np.full(z.size, params.tol)
+    x, y = z.real.ravel(), z.imag.ravel()
+    failed = np.full(z.size, -1)           # index into _NON_FINITE
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    failed[bad] = 0
+    live = np.flatnonzero(~bad)
+    x, y = x[live], y[live]
+    cr, ci, ac = params.c.real, params.c.imag, abs(params.c)
+
+    # a * a overflows where a >= _HUGE, and the step where an orbit does;
+    # both are dealt with below, as the scalar loop deals with them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(params.max_iter + 1):
+            a = np.hypot(x, y)
+            out = np.flatnonzero(a >= params.escape_radius)
+            ao = a[out]
+            tail = _tail(ao, n, ac, np.ldexp)
+            if n < params.max_iter:
+                huge = ao >= _HUGE
+                tail[huge] = 0.0
+                done = huge | (tail <= 0.5 * params.tol)
+                out, ao, tail = out[done], ao[done], tail[done]
+            for i, ai, ti in zip(live[out].tolist(), ao.tolist(),
+                                 tail.tolist()):
+                g[i], err[i] = _escaped(ai, n, ti)
+            if n == params.max_iter:
+                break
+            keep = np.ones(live.size, dtype=bool)
+            keep[out] = False
+            inside_huge = keep & (a >= _HUGE)
+            failed[live[inside_huge]] = 1
+            keep &= ~inside_huge
+            live, x, y = live[keep], x[keep], y[keep]
+            x, y = (x * x - y * y) + cr, (x * y + y * x) + ci
+            over = ~(np.isfinite(x) & np.isfinite(y))
+            failed[live[over]] = 2
+            live, x, y = live[~over], x[~over], y[~over]
+            if not live.size:
+                break
+    if (failed >= 0).any():
+        raise NonFinite(_NON_FINITE[failed[np.argmax(failed >= 0)]])
+    return g.reshape(z.shape), err.reshape(z.shape)
 
 
 def critical_potential(sys: GreenSystem) -> float:

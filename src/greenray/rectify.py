@@ -30,9 +30,9 @@ from scipy.spatial import cKDTree
 from .angles import circ_dist
 from .errors import (CombinatoricsMismatch, Connected, GreenrayError, InsideK,
                      InvalidInput, RayCrash, TargetRayCrash)
-from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
-                        escape_green, invert_green_coords, julia_samples,
-                        log_bottcher, trace_ray)
+from .potential import (GreenCoordinate, GreenSystem, critical_potential,
+                        descend_rays_bulk, escape_green, invert_green_coords,
+                        julia_samples, log_bottcher, trace_ray)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                          lipschitz_approx_d, lipschitz_approx_k)
 
@@ -63,7 +63,11 @@ def transport_exterior(tm: TransportMap, z: complex) -> complex:
     a target critical ray is retried once with the angle nudged by +-2^-45
     before giving up with TargetRayCrash.
     """
-    gc = log_bottcher(tm.source, z)
+    return _to_target(tm, log_bottcher(tm.source, z))
+
+
+def _to_target(tm: TransportMap, gc: GreenCoordinate) -> complex:
+    """The target point of a source coordinate (`transport_exterior`)."""
     theta = tm.vs.d(gc.angle) % 1.0
     g = tm.vs.k(gc.potential)
     try:
@@ -270,30 +274,53 @@ def convergence_study(tm: TransportMap, n_list: Sequence[int],
     """
     if len(samples) == 0:
         raise InvalidInput("convergence_study needs at least one sample")
-    ref: dict[int, complex] = {}
+    coords: dict[int, GreenCoordinate] = {}
     for i, z in enumerate(samples):
         try:
-            ref[i] = transport_exterior(tm, z)
+            coords[i] = log_bottcher(tm.source, z)
         except GreenrayError:
             continue
+    ref = _transport_all(tm, coords)
+    coords = {i: coords[i] for i in ref}
     rows: list[ConvergenceRow] = []
     for n in n_list:
         vs_n = VirtualStructure(lipschitz_approx_d(tm.vs.d, n),
                                 lipschitz_approx_k(tm.vs.k, n))
-        tm_n = TransportMap(tm.source, tm.target, vs_n)
-        sup = 0.0
-        dropped = len(samples) - len(ref)
-        for i, z in enumerate(samples):
-            if i not in ref:
-                continue
-            try:
-                w = transport_exterior(tm_n, z)
-            except GreenrayError:
-                dropped += 1
-                continue
-            sup = max(sup, chordal_distance(w, ref[i]))
-        rows.append(ConvergenceRow(int(n), sup, dropped))
+        images = _transport_all(TransportMap(tm.source, tm.target, vs_n),
+                                coords)
+        sup = max([0.0, *(chordal_distance(w, ref[i])
+                          for i, w in images.items())])
+        rows.append(ConvergenceRow(int(n), sup, len(samples) - len(images)))
     return rows
+
+
+def _transport_all(tm: TransportMap,
+                   coords: dict[int, GreenCoordinate]) -> dict[int, complex]:
+    """`_to_target` of every coordinate; those that fail are left out.
+
+    Coordinates with one target potential are descended together in one
+    `descend_rays_bulk`, which gives each ray's single-ray bits.  A group
+    that raises goes through `_to_target` one by one, so its nudges and
+    failures are those of `transport_exterior`.
+    """
+    groups: dict[float, list[tuple[int, float]]] = {}
+    for i, gc in coords.items():
+        groups.setdefault(tm.vs.k(gc.potential), []).append(
+            (i, tm.vs.d(gc.angle) % 1.0))
+    out: dict[int, complex] = {}
+    for g, members in groups.items():
+        ids, thetas = zip(*members)
+        try:
+            pts = descend_rays_bulk(tm.target, thetas, g).tolist()
+        except GreenrayError:
+            for i in ids:
+                try:
+                    out[i] = _to_target(tm, coords[i])
+                except GreenrayError:
+                    continue
+        else:
+            out.update(zip(ids, pts))
+    return out
 
 
 # ---------------------------------------------------------------------------

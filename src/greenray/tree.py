@@ -327,12 +327,24 @@ def _enc_pair(p) -> object:
     return None if p is None else [_enc_num(p[0]), _enc_num(p[1])]
 
 
-def _dec_pair(dec, v, what: str):
+def _dec_accesses(dec, v, what: str):
+    """An access pair, or None; each access is an angle in [0, 1]."""
     if v is None:
         return None
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"bad pair in {what}")
-    return (dec(v[0], what), dec(v[1], what))
+    pair = (dec(v[0], what), dec(v[1], what))
+    if not (_in_unit(pair[0]) and _in_unit(pair[1])):
+        raise SchemaError(f"bad access angle in {what}: not in [0, 1]")
+    return pair
+
+
+def _in_unit(a) -> bool:
+    """0 <= a <= 1 for a decoded number: a Fraction, inf or a float."""
+    if type(a) is Fraction:
+        # decoded Fractions are in lowest terms with a positive denominator
+        return 0 <= a.numerator <= a.denominator
+    return 0.0 <= a <= 1.0
 
 
 def tree_to_dict(tree: AnalyticTree) -> dict:
@@ -449,8 +461,10 @@ def deserialize_tree(data: str | dict) -> AnalyticTree:
                 modulus=dec(rec["modulus"], "modulus"),
                 angular_invariant=(_dec_float(invariant[0], "invariant"),
                                    _dec_float(invariant[1], "invariant")),
-                outer_accesses=_dec_pair(dec, rec["outer_accesses"], "outer"),
-                inner_accesses=_dec_pair(dec, rec["inner_accesses"], "inner"),
+                outer_accesses=_dec_accesses(dec, rec["outer_accesses"],
+                                              "outer"),
+                inner_accesses=_dec_accesses(dec, rec["inner_accesses"],
+                                              "inner"),
                 children=tuple(_dec_int(c, "children")
                                for c in rec["children"]),
                 is_end=bool(rec["is_end"]))

@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -7,7 +9,8 @@ import greenray.rectify
 import greenray.structures
 from greenray.cli import main
 from greenray.potential import julia_samples
-from greenray.structures import VirtualStructure, serialize_structure
+from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
+                                 serialize_structure)
 from greenray.tree import deserialize_tree
 
 
@@ -56,6 +59,22 @@ def test_collapse_identity_cli(tmp_path):
     assert mods_a == mods_b
     adm = json.loads((out / "admissibility.json").read_text())
     assert adm["verdict"] == "admissible_certified"
+
+
+@pytest.mark.parametrize("value", [None, [5, 4]], ids=["null", "above_one"])
+def test_collapse_cli_rejects_bad_access_angle(tmp_path, capsys, value):
+    # null decodes as inf and made collapse fail in float(Fraction) with an
+    # OverflowError traceback; 5/4 was accepted and collapsed
+    out = tmp_path / "t"
+    assert run(["--output-dir", out, "tree", "--c", "-3",
+                "--depth", "3"]) == 0
+    doc = json.loads((out / "tree.json").read_text())
+    doc["nodes"][5]["outer_accesses"][1] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["--output-dir", tmp_path / "c", "collapse", "--tree", bad]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: SchemaError: bad access angle in outer")
 
 
 def test_collapse_certifies_once(tmp_path, capsys, monkeypatch):
@@ -137,7 +156,7 @@ def test_tree_caps_reject_before_work(tmp_path, capsys, monkeypatch, flag,
 def test_green_grid_caps_reject_before_work(tmp_path, capsys, monkeypatch,
                                             flag, value):
     monkeypatch.setattr(greenray.cli, "GreenSystem", None)
-    monkeypatch.setattr(greenray.cli, "escape_green", no_work)
+    monkeypatch.setattr(greenray.cli, "escape_green_bulk", no_work)
     out = tmp_path / "x"
     assert run(["--output-dir", out, "green", "--c", "-1",
                 flag, value]) == 1
@@ -164,6 +183,24 @@ def test_sample_counts_reject_before_work(tmp_path, capsys, monkeypatch, argv,
     err = capsys.readouterr().err
     assert err.startswith(f"error: InvalidInput: {flag} {value} is outside "
                           f"[1, {greenray.cli.MAX_SAMPLES}]")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, low", [
+    (["ray", "--c", "-3", "--angle", "1/3", "--g-lo", "0.05", "--g-hi", "1"],
+     2),
+    (["equipot", "--c", "-3", "--g", "0.3"], 3),
+], ids=["ray", "equipot"])
+@pytest.mark.parametrize("above", [False, True])
+def test_curve_samples_reject_before_work(tmp_path, capsys, monkeypatch,
+                                          argv, low, above):
+    monkeypatch.setattr(greenray.cli, "_build_system", no_work)
+    value = greenray.cli.MAX_SAMPLES + 1 if above else low - 1
+    out = tmp_path / "x"
+    assert run(["--output-dir", out, *argv, "--samples", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidInput: --samples {value} is "
+                          f"outside [{low}, {greenray.cli.MAX_SAMPLES}]")
     assert list(out.iterdir()) == []
 
 
@@ -290,3 +327,59 @@ def test_svg_outputs(tmp_path):
     assert run(["--output-dir", out2, "equipot", "--c", "-3", "--g", "0.3",
                 "--samples", "24", "--svg"]) == 0
     assert (out2 / "equipot.svg").exists()
+
+
+# sha256 of the artifact, taken with the scalar escape loop and per-sample
+# transport; the batched paths must reproduce every byte
+@pytest.mark.parametrize("argv, config, digest", [
+    (["--c", "-1", "--window=-2,2,-1.5,1.5", "--nx", "40", "--ny", "30"], None,
+     "e99183e5e377c09ddeba3fb0bca54aca29679250fae9e4cdbe8e901570b1aeca"),
+    (["--c", "-3", "--window=-2.5,2.5,-1,1", "--nx", "33", "--ny", "17"], None,
+     "1ae9e99300bf06c0508e2dec2a4303b17784c30680f39f2fb2f91fe1b9de8efe"),
+    # a non-real c near the rabbit; the small budget leaves escapes whose
+    # tail bound is still above tol
+    (["--window=-1.5,1.5,-1.2,1.2", "--nx", "37", "--ny", "29"],
+     "c_re = -0.12\nc_im = 0.75\nmax_iter = 12\n",
+     "2e4968901d37f60834b7fe10594e0277cdc2facc448860272baf5a84efed75d9"),
+], ids=["c_m1", "c_m3", "c_rabbit_config"])
+def test_green_csv_pinned(tmp_path, argv, config, digest):
+    head = []
+    if config is not None:
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text(config)
+        head = ["--config", cfg]
+    out = tmp_path / "g"
+    assert run(["--output-dir", out, *head, "green", *argv]) == 0
+    assert sha256((out / "green.csv").read_bytes()).hexdigest() == digest
+
+
+def _flat_structure():
+    """Three flats of 1/512 in d and a k with a kink."""
+    flat = Fraction(1, 512)
+    d = CircleCDF((
+        (Fraction(0), 0.0),
+        (Fraction(1, 5), 0.21), (Fraction(1, 5) + flat, 0.21),
+        (Fraction(1, 2), 0.52), (Fraction(1, 2) + flat, 0.52),
+        (Fraction(4, 5), 0.83), (Fraction(4, 5) + flat, 0.83),
+        (Fraction(1), 1.0)))
+    k = PotentialHomeo(((0.0, 0.0), (0.4, 0.6), (1.0, 1.1)))
+    return VirtualStructure(d, k)
+
+
+# the README `converge` line, with the identity structure the README test
+# writes to st.json and with a structure whose sups are not 0
+@pytest.mark.parametrize("structure, digest", [
+    (VirtualStructure.identity,
+     "e08a7c8ecc61296471b341f10fa0aeecb16ec071617dc80d43a31ea04f5414ff"),
+    (_flat_structure,
+     "3f4937f10552108f0844b07fd3507463572a20119e0de376c9bd8151fe3d880c"),
+], ids=["identity", "flats"])
+def test_converge_csv_pinned(tmp_path, structure, digest):
+    st = tmp_path / "st.json"
+    st.write_text(serialize_structure(structure()))
+    out = tmp_path / "cv"
+    assert run(["--output-dir", out, "converge", "--source-c=0",
+                "--target-c=0", "--structure", st,
+                "--n-list", "1,2,4,8,16,32,64"]) == 0
+    assert sha256((out / "converge.csv").read_bytes()).hexdigest() == digest
+

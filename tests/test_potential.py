@@ -17,7 +17,8 @@ from greenray.potential import (G_FAR, MAX_JULIA_DEPTH, GreenSystem,
                                 QuadraticParams,
                                 _crash_level, _far_points,
                                 critical_potential, descend_rays_bulk,
-                                escape_green, invert_green_coords,
+                                escape_green, escape_green_bulk,
+                                invert_green_coords,
                                 julia_samples, log_bottcher,
                                 precritical_points, skeleton,
                                 trace_equipotential, trace_ray)
@@ -114,6 +115,100 @@ def test_params_validation():
         QuadraticParams(c=-3.0, escape_radius=6.0, max_iter=0)
     with pytest.raises(ValueError):
         QuadraticParams(c=-3.0, escape_radius=6.0, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# escape_green_bulk: the scalar loop's bits, point by point
+# ---------------------------------------------------------------------------
+
+def _assert_bit_equal(sys_, zs):
+    g, err = escape_green_bulk(sys_, zs)
+    ref = [escape_green(sys_, z) for z in zs]
+    assert np.asarray(g).shape == np.asarray(zs).shape
+    want_g = np.array([r[0] for r in ref])
+    want_err = np.array([r[1] for r in ref])
+    # compared as int64 so that -0.0 != 0.0
+    assert g.view(np.int64).tolist() == want_g.view(np.int64).tolist()
+    assert err.view(np.int64).tolist() == want_err.view(np.int64).tolist()
+    return ref
+
+
+_box = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+# far out, up to past _HUGE: with tol = 1e-300 the tail stays above tol
+# until an orbit reaches 1e150
+_far = st.builds(cmath.rect, st.floats(1e3, 1e153),
+                 st.floats(0.0, 2.0 * math.pi))
+
+
+@pytest.mark.parametrize("c", [-3.0, -1.0, 0.0, 0.3 + 0.5j])
+@given(zs=st.lists(st.one_of(_box, _box, _far), min_size=1, max_size=40),
+       max_iter=st.sampled_from([2, 7, 256]),
+       tol=st.sampled_from([1e-9, 1e-300]))
+@settings(max_examples=60, deadline=None)
+def test_escape_green_bulk_bit_equal(c, zs, max_iter, tol):
+    _assert_bit_equal(GreenSystem.from_c(c, max_iter=max_iter, tol=tol), zs)
+
+
+@pytest.mark.parametrize("c", [-3.0, -1.0, 0.0, 0.3 + 0.5j])
+def test_escape_green_bulk_bit_equal_on_every_stop(c):
+    # a grid over the filled Julia set with a small budget, and far points
+    # whose orbits reach _HUGE at a tiny tol; every kind of stop occurs
+    x = np.linspace(-2.1, 2.1, 61)
+    grid = (x[None, :] + 1j * x[:, None]).ravel().tolist()
+    far = [1e80, -1e80j, 1e150, complex(3e151, -2e151), 1e100 + 1e100j]
+    ref = _assert_bit_equal(GreenSystem.from_c(c, max_iter=6), grid + far)
+    assert any(g == 0.0 for g, _ in ref)                        # inside
+    # out of budget (at c = 0 the tail, and so the sign of it, is 0)
+    assert c == 0.0 or any(e > 1e-9 for g, e in ref if g > 0.0)
+    ref = _assert_bit_equal(GreenSystem.from_c(c), grid + far)
+    assert any(g > 0.0 and e <= 1e-9 for g, e in ref)           # certified
+    sys_ = GreenSystem.from_c(c, tol=1e-300)
+    ref = _assert_bit_equal(sys_, grid + far)
+    # 1e80 -> 1e160 and 1e150 stop at _HUGE, with no harmonic tail
+    for g, e in ref[-len(far):]:
+        assert e == math.ulp(g) + 4.0 * math.ulp(1.0)
+
+
+def test_escape_green_bulk_keeps_shape(sys_m1):
+    z = np.array([[0.0, 3.0], [1j, 2.5 - 1j], [0.3, -4.0]])
+    g, err = escape_green_bulk(sys_m1, z)
+    assert g.shape == err.shape == (3, 2)
+    assert g[1, 1] == escape_green(sys_m1, 2.5 - 1j)[0]
+    empty = escape_green_bulk(sys_m1, [])
+    assert empty[0].shape == empty[1].shape == (0,)
+
+
+def _bulk_raises_like_scalar(sys_, zs):
+    with pytest.raises(NonFinite) as scalar:
+        for z in zs:
+            escape_green(sys_, z)
+    with pytest.raises(NonFinite) as bulk:
+        escape_green_bulk(sys_, zs)
+    assert str(bulk.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"),
+                                 complex(1.0, float("-inf")),
+                                 complex(float("nan"), 0.0)])
+def test_escape_green_bulk_nonfinite_input(sys_m3, bad):
+    _bulk_raises_like_scalar(sys_m3, [0.5, 3.0 + 1j, bad, 0.1])
+
+
+def test_escape_green_bulk_overflow_before_certification():
+    params_bad = QuadraticParams(c=0.0, escape_radius=1e300, max_iter=50)
+    sys_bad = GreenSystem(params_bad, "connected", None, 0.0, 0.0)
+    _bulk_raises_like_scalar(sys_bad, [0.5, 1e200, 2.0])
+    # the first failing point in order names the error, whatever its kind
+    _bulk_raises_like_scalar(sys_bad, [0.5, 1e200, complex("nan")])
+
+
+def test_escape_green_bulk_iterate_overflow():
+    # 1e149^2 + c passes the float range in one step
+    c = 1.7976931348623157e308
+    params = QuadraticParams(c=c, escape_radius=c, max_iter=50)
+    sys_big = GreenSystem(params, "connected", None, 0.0, 0.0)
+    _bulk_raises_like_scalar(sys_big, [1e149])
+    _bulk_raises_like_scalar(sys_big, [0.0, 1e149, complex("inf")])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import greenray.rectify
 from greenray.errors import (CombinatoricsMismatch, Connected, GreenrayError,
                              InsideK, InvalidInput)
 from greenray.potential import (GreenSystem, critical_potential, escape_green,
@@ -20,6 +21,7 @@ from greenray.rectify import (ContinuumMap, TransportMap, _cloud_distances,
                               transport_exterior, transport_residuals,
                               transported_boundary_distance)
 from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
+                                 lipschitz_approx_d, lipschitz_approx_k,
                                  mod_xi)
 from greenray.tree import build_quadratic_tree
 
@@ -471,6 +473,56 @@ def test_convergence_staircase_decreases(sys_0):
     rows = convergence_study(tm, [2, 8, 32], ring(sys_0, 0.05, 24))
     sups = [r.sup_distance for r in rows]
     assert sups[0] > sups[1] > sups[2]
+
+
+def _convergence_one_by_one(tm, n_list, samples):
+    """convergence_study as a loop of transport_exterior calls, one per
+    sample and n: the oracle of the batched study."""
+    ref = {}
+    for i, z in enumerate(samples):
+        try:
+            ref[i] = transport_exterior(tm, z)
+        except GreenrayError:
+            continue
+    rows = []
+    for n in n_list:
+        tm_n = TransportMap(tm.source, tm.target, VirtualStructure(
+            lipschitz_approx_d(tm.vs.d, n), lipschitz_approx_k(tm.vs.k, n)))
+        sup, dropped = 0.0, len(samples) - len(ref)
+        for i in ref:
+            try:
+                sup = max(sup, chordal_distance(
+                    transport_exterior(tm_n, samples[i]), ref[i]))
+            except GreenrayError:
+                dropped += 1
+        rows.append((n, sup, dropped))
+    return rows
+
+
+def test_convergence_batches_like_single_transports(monkeypatch):
+    # a flat of d onto the level-1 access angle 1/8 and the dyadic k send a
+    # ring at G(0)/2 onto target rays at their crash potential: those
+    # groups raise in batch and are redone sample by sample with nudges
+    pair = build_quadratic_pair(-3.0, -5.0)
+    d = CircleCDF(((Fraction(0), 0.0), (Fraction(1, 8), 0.125),
+                   (Fraction(1, 8) + Fraction(1, 64), 0.125),
+                   (Fraction(1), 1.0)))
+    tm = TransportMap(pair.source, pair.target, VirtualStructure(d, pair.vs.k))
+    g0 = critical_potential(tm.source)
+    samples = ring(tm.source, 0.5 * g0, 40) + [
+        invert_green_coords(tm.source, (Fraction(1, 8) + Fraction(j, 4096),
+                                        0.5 * g0)) for j in range(1, 64)]
+    samples += [0.0j, 1.7 + 0.0j]               # on the skeleton: dropped
+    calls = []
+    one = greenray.rectify._to_target
+    monkeypatch.setattr(greenray.rectify, "_to_target",
+                        lambda *a: calls.append(1) or one(*a))
+    n_list = [1, 3, 8, 64]
+    rows = convergence_study(tm, n_list, samples)
+    assert calls, "no batch fell back to single transports"
+    assert [tuple(r) for r in rows] == \
+        _convergence_one_by_one(tm, n_list, samples)
+    assert all(r.dropped_samples >= 2 for r in rows)
 
 
 def test_chordal_distance_basics():

@@ -282,6 +282,15 @@ def test_deserialize_rejects_numbers_past_float_range(tree_m3_d4, field,
         deserialize_tree(doc)
 
 
+@pytest.mark.parametrize("value", [[-1, 4], 1.5, -0.0 - 1e-300],
+                         ids=["negative", "float_above_one", "tiny_negative"])
+def test_deserialize_rejects_access_outside_unit(tree_m3_d4, value):
+    doc = json.loads(serialize_tree(tree_m3_d4))
+    doc["nodes"][2]["inner_accesses"][0] = value
+    with pytest.raises(SchemaError, match="bad access angle in inner"):
+        deserialize_tree(doc)
+
+
 def test_deserialize_rejects_garbage():
     with pytest.raises(SchemaError):
         deserialize_tree("{not json")
