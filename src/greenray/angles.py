@@ -122,22 +122,6 @@ def cumulative_position(window: Window, origin: Number, theta: Number) -> Number
     raise InvalidInput("theta is not inside the window")
 
 
-def cumulative_position_d(window: Window, origin: Number, theta: Number,
-                          d: Callable[[float], float]) -> float:
-    """Like :func:`cumulative_position` but measured by the pushforward of d.
-
-    Pieces are weighted by d(hi) - d(lo); d is evaluated with the lift
-    normalisation d(0) = 0, d(1) = 1, so no wrap correction is needed for
-    the stored (non-wrapping) pieces.
-    """
-    acc = 0.0
-    for lo, hi in _cyclic_pieces_from(window, origin):
-        if lo <= theta <= hi:
-            return acc + (d(float(theta)) - d(float(lo)))
-        acc += d(float(hi)) - d(float(lo))
-    raise InvalidInput("theta is not inside the window")
-
-
 def invert_position(window: Window, origin: Number, s: Number) -> Number:
     """Angle at window-measure position `s` ccw from `origin` (inverse of
     :func:`cumulative_position`)."""

@@ -30,8 +30,7 @@ from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
                       quasihyperbolic_displacement, transport_exterior,
                       transport_residuals, transported_boundary_distance)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
-                         admissible, collapse, deserialize_structure,
-                         serialize_structure)
+                         admissible, collapse, deserialize_structure)
 from .tree import (build_quadratic_tree, deserialize_tree, serialize_tree,
                    thinness_report)
 

@@ -26,6 +26,7 @@ Supported parameter range for the full chart:
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -41,18 +42,12 @@ from .errors import (AngleUnresolved, Connected, CriticalLevel, InsideK,
 # Far potential of ray descent: every descent starts from psi_c at a
 # potential >= G_FAR, where its series is certified (`_psi_coefficients`).
 G_FAR = 6.0
-# Substeps per potential octave in ray descent.
-_SUBSTEPS = 12
 # Magnitude beyond which iterates are treated as infinite-precision escapes.
 _HUGE = 1e150
 # Largest order N of the inverse Böttcher series tried for a parameter.  It
 # covers |c| up to about 7e4 (c = -7.1e4 needs N = 48); past N = 60 the
 # coefficients, which grow up to R^(2n) ~ |c|^n, could overflow.
 _PSI_MAX_ORDER = 48
-# Rung x ray elements per block of batched ray descent.  It bounds the
-# working arrays: a 4096-ray descent to 1e-4 G(0) grows peak RSS by 1.9 MB
-# at 2^12, 3.0 MB at 2^13 and 5.9 MB at 2^14, at about the same speed.
-_CHUNK = 1 << 12
 # Cap on the depth of `julia_samples`: a depth-D cloud holds 2^D points,
 # 64 MiB of complex128 at D = 22.  The library's own callers use D <= 16.
 MAX_JULIA_DEPTH = 22
@@ -348,17 +343,32 @@ def _far_points(sys: GreenSystem, theta: np.ndarray, g: np.ndarray) -> np.ndarra
 # External angle of a point
 # ---------------------------------------------------------------------------
 
-def _real_fold_bit(zj: complex) -> bool:
-    """Itinerary bit for real parameters: True on the left cell.
+def _same_side(c: complex, z, t, upper, left):
+    """The branch rule: whether z lies on the side of the ray of angle t.
 
-    The dividing curve between the angle cells (-1/4, 1/4) and (1/4, 3/4)
-    is the imaginary axis (rays 1/4 and 3/4) plus a real gap segment, so the
-    sign of Re decides; exactly imaginary points sit on the rays and are
-    assigned by the sign of Im (upper axis = ray 1/4).
+    For real c, z -> conj(z) maps the ray t onto the ray -t and
+    z -> -conj(z) onto the ray 1/2 - t, so off the skeleton Im z > 0
+    exactly on the rays (0, 1/2) and Re z < 0 exactly on the rays
+    (1/4, 3/4).  `upper` and `left` say whether t lies in those; the
+    larger part of z is read, whose sign rounding can flip only within
+    rounding of z = 0.  Elementwise on arrays of z, upper and left.
+
+    For other c the principal argument decides (t a float): t must be
+    within a quarter turn of arg z, certified while |c/z^2| < 1/2 (the
+    argument lift then errs by less than the candidate separation 1/2);
+    else AngleUnresolved.
     """
-    if zj.real != 0.0:
-        return zj.real < 0.0
-    return zj.imag > 0.0
+    if c.imag == 0.0:
+        x, y = z.real, z.imag
+        by_re = abs(x) >= abs(y)
+        on_re, on_im = (x < 0.0) == left, (y > 0.0) == upper
+        return on_im ^ (by_re & (on_re ^ on_im))
+    if abs(c / (z * z)) >= 0.5:
+        raise AngleUnresolved(
+            "argument lift uncertified for non-real c at this potential; "
+            "evaluate at higher potential")
+    base = (cmath.phase(z) / (2.0 * math.pi)) % 1.0
+    return ang.circ_dist(t % 1.0, base) <= ang.circ_dist((t + 0.5) % 1.0, base)
 
 
 def _near_skeleton(sys: GreenSystem, theta: float, g: float, guard: float) -> bool:
@@ -382,11 +392,12 @@ def log_bottcher(sys: GreenSystem, z: complex) -> GreenCoordinate:
     """Green coordinate (external angle, potential) of an exterior point.
 
     The angle is the phase of the orbit point w_m at which |c/w_m^2| <= 2^-60
-    (or |w_m| >= _HUGE), halved back to z: by the fold bit for real c, exact
-    at every level, and by the principal argument otherwise, which raises
-    AngleUnresolved where some |c/w_j^2| >= 1/2, j < m.  Raises InsideK at
-    vanishing potential and OnSkeleton within guard distance (10*tol,
-    measured in angle) of a skeleton arc, where the angle is two-valued.
+    (or |w_m| >= _HUGE), halved back to z by `_same_side`: for real c by the
+    half-plane of w_j, exact at every level, and by the principal argument
+    otherwise, which raises AngleUnresolved where some |c/w_j^2| >= 1/2,
+    j < m.  Raises InsideK at vanishing potential and OnSkeleton within
+    guard distance (10*tol, measured in angle) of a skeleton arc, where the
+    angle is two-valued.
     """
     g, _ = escape_green(sys, z)
     if g <= 0.0:
@@ -402,29 +413,12 @@ def log_bottcher(sys: GreenSystem, z: complex) -> GreenCoordinate:
         orbit.append(w)
     theta = (cmath.phase(w) / (2.0 * math.pi)) % 1.0
 
-    # halve the far angle back along the orbit, choosing each branch
-    for j in range(len(orbit) - 2, -1, -1):
-        w = orbit[j]
+    # halve the far angle back along the orbit, choosing each branch; half
+    # lies in [0, 1/2), so in (0, 1/2) iff > 0 and in (1/4, 3/4) iff > 1/4
+    for w in reversed(orbit[:-1]):
         half = theta / 2.0
-        if sys.is_real:
-            if w.imag != 0.0 and abs(half - 0.25) < 0.125:
-                # candidates near the rays 1/4 and 3/4, where the sign of Re
-                # is rounding noise: the upper half plane holds (0, 1/2)
-                keep = w.imag > 0.0
-            else:
-                keep = (half >= 0.25) == _real_fold_bit(w)
-            theta = half if keep else half + 0.5
-        else:
-            # the principal argument picks the branch; certified while every
-            # correction term |c/w^2| stays below 1/2 (cumulative angle error
-            # < 1/4 turn, smaller than the candidate separation 1/2)
-            if abs(c / (w * w)) >= 0.5:
-                raise AngleUnresolved(
-                    "argument lift uncertified for non-real c at this "
-                    "potential; evaluate at higher potential")
-            base = (cmath.phase(w) / (2.0 * math.pi)) % 1.0
-            cands = (half % 1.0, (half + 0.5) % 1.0)
-            theta = min(cands, key=lambda t_: ang.circ_dist(t_, base))
+        keep = _same_side(c, w, half, half > 0.0, half > 0.25)
+        theta = half if keep else half + 0.5
     theta %= 1.0
 
     if _near_skeleton(sys, theta, g, 10.0 * sys.tol):
@@ -483,19 +477,21 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
              crash_side: int | None) -> np.ndarray:
     """Points on many external rays at common non-increasing potentials.
 
-    Standard inverse-iteration ray tracing (Kawahira's ladder): a ladder of
-    potentials with _SUBSTEPS rungs per octave; at each rung the point is
-    pulled back through the tower of doubled angles, choosing square-root
-    branches by proximity to the previous rung's tower.  Levels are swept
-    outermost: row r of `w` holds rung r's point at level j, its far point
-    while j == ell[r] and below that the root nearest rung r-1's point, so
-    the branch signs are a running count of flips.  The first root below a
-    far point meets the previous rung's far point at the same level, as ell
-    grows by at most one per rung.  `thetas` are Fractions or floats; the
-    crash rule is `_ray_angle`'s.  Targets above potential 300 raise
-    InvalidInput.  Returns shape (len(targets), len(thetas)).
+    Inverse iteration: the point at target g starts from its far point at
+    the least level L with 2^L g >= G_FAR and takes L square roots.  At
+    level j the root s = sqrt(w - c) or -s is kept by `_same_side` with the
+    exact angle t_j = frac(2^j p/q): for real c the half-plane rule, with
+    t_j tested on the integers (p << j) % q; for other c the principal
+    argument, which raises AngleUnresolved where some |c/w_j^2| >= 1/2.
+    `thetas` are Fractions or floats; the crash rule is `_ray_angle`'s, and
+    RayCrash is also raised where some |w - c| <= 1e-12 max(1, |c|), a
+    pass through a precritical point.  An empty target list, and targets
+    above potential 300, raise InvalidInput.  Returns shape
+    (len(targets), len(thetas)).
     """
     targets = [float(g) for g in targets]
+    if not targets:
+        raise InvalidInput("at least one target potential is required")
     if not all(g > 0.0 for g in targets):
         raise InvalidInput("potential must be positive")
     if any(a < b for a, b in zip(targets, targets[1:])):
@@ -503,54 +499,48 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
     if targets[0] > 300.0:
         raise InvalidInput("potential too large for the float chart range")
     pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
+    if not pq:
+        return np.empty((len(targets), 0), dtype=complex)
 
-    # ladder of rung potentials: geometric with exact targets inserted
-    ratio = 2.0 ** (1.0 / _SUBSTEPS)
-    rungs: list[float] = []
-    at: list[int] = []
-    tau = max(targets[0], G_FAR)
+    # start level of each target, non-decreasing down the targets
+    ell, top = [], 0
     for g in targets:
-        while g < tau:
-            if not rungs or tau < rungs[-1]:
-                rungs.append(tau)
-            tau /= ratio
-        if not rungs or g < rungs[-1]:
-            rungs.append(g)
-        at.append(len(rungs) - 1)
-    # each rung starts from its far point at the first level ell >= G_FAR;
-    # ell never decreases down the ladder
-    ell = [0]
-    for t in rungs[1:]:
-        ell.append(ell[-1] + (math.ldexp(t, ell[-1]) < G_FAR))
-    ell = np.array(ell)
-    far_g = np.ldexp(rungs, ell)[:, None]
+        while math.ldexp(g, top) < G_FAR:
+            top += 1
+        ell.append(top)
+    # frac(2^L theta), correctly rounded, by target and ray
+    far_t = {n: [((p << n) % q) / q for p, q in pq] for n in set(ell)}
+    w = _far_points(sys, np.array([far_t[n] for n in ell]),
+                    np.ldexp(targets, ell)[:, None])
 
-    c = sys.c
+    c, real = sys.c, sys.is_real
     guard = 1e-12 * max(1.0, abs(c))
-    out = np.empty((len(targets), len(pq)), dtype=complex)
-    step = max(1, _CHUNK // len(rungs))
-    for s in range(0, len(pq), step):
-        # frac(2^j theta), correctly rounded, by level and ray
-        angles = np.array([[((p << j) % q) / q for p, q in pq[s:s + step]]
-                           for j in range(ell[-1] + 1)])
-        w = _far_points(sys, angles[ell], far_g)
-        hits = []
-        for j in range(ell[-1] - 1, -1, -1):
-            e = np.searchsorted(ell, j, side="right")
-            dz = w[e:] - c
-            # report the first ray's crash at its first rung, top level first
-            hits += [(i, e + r, -j)
-                     for r, i in zip(*np.nonzero(np.abs(dz) <= guard))]
-            root = np.sqrt(dz)
-            prev = np.concatenate((w[e - 1:e], root[:-1]))
-            flips = np.cumsum(np.abs(root - prev) > np.abs(root + prev), axis=0)
-            w[e:] = np.where(flips % 2 == 1, -root, root)
-        if hits:
-            _, r, minus_j = min(hits)
-            raise RayCrash("ray passes through a precritical point",
-                           crash_potential=math.ldexp(rungs[r], -minus_j))
-        out[:, s:s + step] = w[at]
-    return out
+    hits = []
+    for j in range(top - 1, -1, -1):
+        # rows e: (the targets with L > j) step from level j + 1 to level j
+        e = bisect.bisect_right(ell, j)
+        dz = w[e:] - c
+        near = np.abs(dz)
+        if near.min() <= guard:
+            hits += [(i, e + r, -j) for r, i in zip(*np.nonzero(near <= guard))]
+        s = np.sqrt(dz)
+        if real:
+            # t_j in (0, 1/2) and in (1/4, 3/4), on t_j = r/q exactly
+            upper, left = np.array(
+                [b for p, q in pq for r in ((p << j) % q,)
+                 for b in (0 < 2 * r < q, q < 4 * r < 3 * q)]).reshape(-1, 2).T
+            keep = _same_side(c, s, None, upper, left)
+        else:
+            t = [((p << j) % q) / q for p, q in pq]
+            keep = [[_same_side(c, z, tz, None, None) for z, tz in zip(row, t)]
+                    for row in s.tolist()]
+        w[e:] = np.where(keep, s, -s)
+    if hits:
+        # the first ray's crash at its first target, top level first
+        _, r, minus_j = min(hits)
+        raise RayCrash("ray passes through a precritical point",
+                       crash_potential=math.ldexp(targets[r], -minus_j))
+    return w
 
 
 def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
@@ -562,8 +552,9 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
     its crash potential, RayCrash at the crash potential or through a
     precritical point, AngleUnresolved where the Böttcher series leaves its
     domain or has no certified truncation (`_far_points`), and InvalidInput
-    above potential 300, past the float range of the chart (`_descend`).
-    Each point equals the single-ray result bit for bit.
+    above potential 300, past the float range of the chart.  Branches follow
+    `_descend`'s rule ray by ray, so each point equals the single-ray
+    result bit for bit.
     """
     return _descend(sys, thetas, [g_target], crash_side=+1)[0]
 
@@ -680,7 +671,9 @@ def _itinerary_address(sys: GreenSystem, p: complex, length: int) -> tuple[int, 
     bits = []
     w = complex(p)
     for _ in range(length):
-        bits.append(1 if _real_fold_bit(w) else 0)
+        # bit 1 on the side of the ray 1/2: precritical points of real c
+        # are real, so this is the sign of Re
+        bits.append(1 if _same_side(sys.c, w, 0.5, False, True) else 0)
         w = w * w + sys.c
     return tuple(bits)
 
@@ -690,8 +683,11 @@ def skeleton(sys: GreenSystem, depth: int, arc_samples: int = 24) -> list[Skelet
 
     Each level-n precritical point carries the two access angles solving
     2^(n+1) theta = theta_c that bound its cell; the polyline samples the
-    two one-sided descending branches through the point.
+    two one-sided descending branches through the point.  `arc_samples`
+    below 1 is InvalidInput.
     """
+    if arc_samples < 1:
+        raise InvalidInput(f"arc_samples must be >= 1, got {arc_samples}")
     if not sys.is_cantor:
         return []
     if not sys.is_real:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .angles import circ_dist
-from .errors import (CombinatoricsMismatch, Connected, GreenrayError, InsideK,
+from .errors import (CombinatoricsMismatch, Connected, GreenrayError,
                      InvalidInput, RayCrash, TargetRayCrash)
 from .potential import (GreenCoordinate, GreenSystem, critical_potential,
                         descend_rays_bulk, escape_green, invert_green_coords,

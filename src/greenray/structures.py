@@ -339,8 +339,9 @@ def _offset(view: _NodeImage, start: int, theta: float,
             d_theta: float) -> float:
     """mu_d mass swept ccw inside the window from piece `start` to theta.
 
-    :func:`angles.cumulative_position_d` on the float view, with the same
-    sums in the same order; d_theta is d(theta).
+    The float-view form of `_cumulative_position_d` in
+    tests/test_structures.py, with the same sums in the same order;
+    d_theta is d(theta).
     """
     pieces, d = view.pieces, view.d
     acc = 0.0

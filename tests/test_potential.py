@@ -1,6 +1,10 @@
 import cmath
+import hashlib
 import math
+import random
+import struct
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -15,7 +19,8 @@ from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
                              RayCrash)
 from greenray.potential import (G_FAR, MAX_JULIA_DEPTH, GreenSystem,
                                 QuadraticParams,
-                                _crash_level, _far_points,
+                                _crash_level, _descend, _far_points,
+                                _ray_angle,
                                 critical_potential, descend_rays_bulk,
                                 escape_green, escape_green_bulk,
                                 invert_green_coords,
@@ -242,6 +247,50 @@ def test_bottcher_conjugacy_doubles(sys_m3, exterior_samples_m3):
         if count == 100:
             break
     assert count == 100
+
+
+def _pinned_exterior_points(sys_, seed: int, n: int = 3000) -> list[complex]:
+    """n seeded exterior points of f_c (real c), drawn in pure Python.
+
+    A third are uniform in a box around K_c, a third lie near the imaginary
+    axis (rays 1/4 and 3/4) and a third near the real axis, at offsets
+    spread over twelve decades, where the branch rule has least margin.
+    """
+    rng = random.Random(seed)
+    r = 0.5 + (1.0 + math.sqrt(1.0 - 4.0 * sys_.c.real)) / 2.0
+    pts: list[complex] = []
+    while len(pts) < n:
+        x, y = rng.uniform(-r, r), rng.uniform(-r, r)
+        near = rng.choice((-r, r)) * 10.0 ** -rng.uniform(1.0, 12.0)
+        z = (complex(x, y), complex(near, y), complex(x, near))[len(pts) % 3]
+        if escape_green(sys_, z)[0] > 0.0:
+            pts.append(z)
+    return pts
+
+
+# sha256 of the log_bottcher angle bits (or the error name) on
+# `_pinned_exterior_points`, recorded before the half-plane rule was shared
+# with ray descent
+_LOG_BOTTCHER_PINS = {
+    -5.0: "89a4aa5e177b716527324e39e4c596fc9b495585cdfd77ed422fb07c0999fdeb",
+    -3.0: "85bbc7a0a1a886af7605c6f461798bc738fb722b6ff02558bec945341c52b88b",
+    -2.5: "f96efea6f016faf28dc6716fd0f7febe95fe06c8394908d2413b4d33d3d7615a",
+    -1.0: "56460f7e8ca223bf90a0de5d8d31707f7858a1e40977370155be0405a2c3f8e3",
+    0.0: "70ff121c11f0afa989c8fc695b190ed6109442ff293b731f9cde9a3c5adee95a",
+    0.25: "e2572db289cf0c6176ee2de57760167c7e24dce03ea43131860835dc28490080",
+}
+
+
+@pytest.mark.parametrize("c", sorted(_LOG_BOTTCHER_PINS))
+def test_log_bottcher_angles_pinned(c):
+    sys_ = GreenSystem.from_c(c)
+    h = hashlib.sha256()
+    for z in _pinned_exterior_points(sys_, seed=int(1000 * c) + 7):
+        try:
+            h.update(struct.pack("<d", log_bottcher(sys_, z).angle))
+        except (OnSkeleton, AngleUnresolved) as exc:
+            h.update(type(exc).__name__.encode())
+    assert h.hexdigest() == _LOG_BOTTCHER_PINS[c]
 
 
 def test_inside_k_raises(sys_0, sys_m1):
@@ -632,6 +681,213 @@ def test_batched_descent_is_per_ray_descent(c, data):
 
 
 # ---------------------------------------------------------------------------
+# ray descent against the rung ladder it replaced
+# ---------------------------------------------------------------------------
+
+# The ladder's constants: rungs per potential octave, and rung x ray
+# elements per block.
+_SUBSTEPS = 12
+_CHUNK = 1 << 12
+
+
+def _ladder_descend(sys: GreenSystem, thetas, targets: Sequence[float],
+                    crash_side: int | None) -> np.ndarray:
+    """Points on many external rays at common non-increasing potentials.
+
+    Standard inverse-iteration ray tracing (Kawahira's ladder): a ladder of
+    potentials with _SUBSTEPS rungs per octave; at each rung the point is
+    pulled back through the tower of doubled angles, choosing square-root
+    branches by proximity to the previous rung's tower.  Levels are swept
+    outermost: row r of `w` holds rung r's point at level j, its far point
+    while j == ell[r] and below that the root nearest rung r-1's point, so
+    the branch signs are a running count of flips.  The first root below a
+    far point meets the previous rung's far point at the same level, as ell
+    grows by at most one per rung.  `thetas` are Fractions or floats; the
+    crash rule is `_ray_angle`'s.  Targets above potential 300 raise
+    InvalidInput.  Returns shape (len(targets), len(thetas)).
+    """
+    targets = [float(g) for g in targets]
+    if not all(g > 0.0 for g in targets):
+        raise InvalidInput("potential must be positive")
+    if any(a < b for a, b in zip(targets, targets[1:])):
+        raise InvalidInput("target potentials must be non-increasing")
+    if targets[0] > 300.0:
+        raise InvalidInput("potential too large for the float chart range")
+    pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
+
+    # ladder of rung potentials: geometric with exact targets inserted
+    ratio = 2.0 ** (1.0 / _SUBSTEPS)
+    rungs: list[float] = []
+    at: list[int] = []
+    tau = max(targets[0], G_FAR)
+    for g in targets:
+        while g < tau:
+            if not rungs or tau < rungs[-1]:
+                rungs.append(tau)
+            tau /= ratio
+        if not rungs or g < rungs[-1]:
+            rungs.append(g)
+        at.append(len(rungs) - 1)
+    # each rung starts from its far point at the first level ell >= G_FAR;
+    # ell never decreases down the ladder
+    ell = [0]
+    for t in rungs[1:]:
+        ell.append(ell[-1] + (math.ldexp(t, ell[-1]) < G_FAR))
+    ell = np.array(ell)
+    far_g = np.ldexp(rungs, ell)[:, None]
+
+    c = sys.c
+    guard = 1e-12 * max(1.0, abs(c))
+    out = np.empty((len(targets), len(pq)), dtype=complex)
+    step = max(1, _CHUNK // len(rungs))
+    for s in range(0, len(pq), step):
+        # frac(2^j theta), correctly rounded, by level and ray
+        angles = np.array([[((p << j) % q) / q for p, q in pq[s:s + step]]
+                           for j in range(ell[-1] + 1)])
+        w = _far_points(sys, angles[ell], far_g)
+        hits = []
+        for j in range(ell[-1] - 1, -1, -1):
+            e = np.searchsorted(ell, j, side="right")
+            dz = w[e:] - c
+            # report the first ray's crash at its first rung, top level first
+            hits += [(i, e + r, -j)
+                     for r, i in zip(*np.nonzero(np.abs(dz) <= guard))]
+            root = np.sqrt(dz)
+            prev = np.concatenate((w[e - 1:e], root[:-1]))
+            flips = np.cumsum(np.abs(root - prev) > np.abs(root + prev), axis=0)
+            w[e:] = np.where(flips % 2 == 1, -root, root)
+        if hits:
+            _, r, minus_j = min(hits)
+            raise RayCrash("ray passes through a precritical point",
+                           crash_potential=math.ldexp(rungs[r], -minus_j))
+        out[:, s:s + step] = w[at]
+    return out
+
+
+def _descent_outcome(descend, sys_, thetas, targets, crash_side):
+    """Points as int64 bits, or the error with its crash data."""
+    try:
+        w = descend(sys_, thetas, targets, crash_side)
+    except (RayCrash, AngleUnresolved, InvalidInput) as exc:
+        return (type(exc), getattr(exc, "level", None),
+                getattr(exc, "crash_potential", None))
+    return w.shape, w.view(np.int64).tolist()
+
+
+def _assert_matches_ladder(sys_, thetas, targets, crash_side):
+    new = _descent_outcome(_descend, sys_, thetas, targets, crash_side)
+    assert new == _descent_outcome(_ladder_descend, sys_, thetas, targets,
+                                   crash_side)
+    return new
+
+
+@st.composite
+def _descent_case(draw, g0: float):
+    """Angles (floats, Fractions, dyadic accesses and floats 2^-48 off
+    them, which pass by precritical points) and one target or up to 161
+    non-increasing ones, the sampling of a displacement `trace_ray`."""
+    thetas = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+        | st.fractions(min_value=0, max_value=1, max_denominator=64)
+        | st.builds(Fraction, st.integers(0, 4095), st.just(4096))
+        | st.builds(lambda k, m, side: (k / 2 ** m + side * 2.0 ** -48) % 1.0,
+                    st.integers(0, 255), st.integers(2, 8),
+                    st.sampled_from([-1, 1])),
+        min_size=1, max_size=8))
+    # crash potentials G(0)/2^n join the draws in the Cantor case
+    pot = st.floats(min_value=1e-3, max_value=8.0)
+    if g0 > 0.0:
+        pot |= st.builds(lambda n: g0 / 2 ** n, st.integers(0, 6))
+    g_hi = draw(pot)
+    if draw(st.booleans()):
+        targets = [g_hi]
+    elif draw(st.booleans()):
+        n = draw(st.integers(2, 161))
+        ratio = draw(st.floats(0.25, 1.0)) ** (1.0 / (n - 1))
+        targets = [g_hi * ratio ** i for i in range(n)]
+    else:
+        targets = sorted(draw(st.lists(pot, min_size=2, max_size=12)),
+                         reverse=True)
+    return thetas, targets, draw(st.sampled_from([None, 1, -1]))
+
+
+@pytest.mark.parametrize("c", [-5.0, -3.0, -2.5, -2.0, -1.0, -0.75, 0.0, 0.25])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_descent_matches_ladder_bit_equal(c, data):
+    sys_ = GreenSystem.from_c(c)
+    _assert_matches_ladder(sys_, *data.draw(_descent_case(sys_._g0)))
+
+
+@pytest.mark.parametrize("c", [-5.0, -3.0, -2.5])
+def test_descent_matches_ladder_bit_equal_on_dyadic_grid(c):
+    # at 1e-3 G(0) the accesses of levels 0..8 are below their crash
+    # potentials: the one-sided limits on both sides, and RayCrash without
+    sys_ = GreenSystem.from_c(c)
+    grid = [Fraction(k, 512) for k in range(512)]
+    g = 1e-3 * critical_potential(sys_)
+    for side in (1, -1):
+        shape, _ = _assert_matches_ladder(sys_, grid, [g], side)
+        assert shape == (1, 512)
+    assert _assert_matches_ladder(sys_, grid, [g], None)[0] is RayCrash
+
+
+def test_descent_matches_ladder_bit_equal_near_accesses(sys_m3):
+    # at c = -3, floats 2^-48 off the accesses of levels 0..4 pass within
+    # the guard of a precritical point near the crash potentials (at c = -5
+    # and -2.5 the float G(0) is too far from the crash potential for
+    # that).  The targets sit a few ulps apart from G(0)/2^n, so that the
+    # crash potential names the ray and target reported: the first ray's,
+    # at its first target
+    thetas = [(k / 2 ** m + side * 2.0 ** -48) % 1.0 for m in range(2, 7)
+              for k in range(1, 2 ** m, 2) for side in (1, -1)]
+    g0 = critical_potential(sys_m3)
+    targets = [g0 / 2 ** n * (1.0 + (5 - n) * 2e-15) for n in range(5)]
+    for side in (1, None):
+        assert _assert_matches_ladder(sys_m3, thetas, targets, side)[:2] == \
+            (RayCrash, None)
+    for k in range(1, len(thetas)):
+        _assert_matches_ladder(sys_m3, thetas[k:], targets[2:], 1)
+
+
+@pytest.mark.parametrize("c, tc", [(0.3 + 0.5j, None), (1 + 1j, Fraction(1, 6))])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_descent_matches_ladder_bit_equal_nonreal(c, tc, data):
+    # the principal argument is certified while every |c/w_j^2| < 1/2: there
+    # the points equal the ladder's, elsewhere AngleUnresolved is raised
+    sys_ = GreenSystem.from_c(c, critical_value_angle=tc)
+    theta = data.draw(st.floats(min_value=0.0, max_value=1.0,
+                                exclude_max=True), label="theta")
+    g = data.draw(st.floats(min_value=0.01, max_value=8.0), label="g")
+    new = _descent_outcome(_descend, sys_, [theta], [g], 1)
+    ladder = _descent_outcome(_ladder_descend, sys_, [theta], [g], 1)
+    if new[0] is not AngleUnresolved:
+        assert new == ladder
+        return
+    # the ladder's tower: f^j of its point, up to the start level
+    z = complex(_ladder_descend(sys_, [theta], [g], 1)[0, 0])
+    worst, level_g = 0.0, g
+    while level_g < G_FAR:
+        worst = max(worst, abs(c / (z * z)))
+        z, level_g = z * z + c, 2.0 * level_g
+    assert worst >= 0.49
+
+
+def test_descent_nonreal_unresolved_below_certified_lift():
+    sys_ = GreenSystem.from_c(1 + 1j, critical_value_angle=Fraction(1, 6))
+    assert descend_rays_bulk(sys_, [0.1], 2.0).shape == (1,)
+    with pytest.raises(AngleUnresolved):
+        descend_rays_bulk(sys_, [0.1], 0.05)
+
+
+def test_descent_rejects_empty_targets(sys_m3):
+    with pytest.raises(InvalidInput):
+        _descend(sys_m3, [0.1], [], 1)
+    assert descend_rays_bulk(sys_m3, [], 0.3).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
 # trace_equipotential
 # ---------------------------------------------------------------------------
 
@@ -751,6 +1007,13 @@ def test_skeleton_polyline_descends(sys_m3):
 def test_skeleton_connected_empty(sys_0, sys_m1):
     assert skeleton(sys_0, 3) == []
     assert skeleton(sys_m1, 3) == []
+
+
+@pytest.mark.parametrize("arc_samples", [0, -2])
+def test_skeleton_rejects_arc_samples_below_one(sys_m3, sys_0, arc_samples):
+    for sys_ in (sys_m3, sys_0):
+        with pytest.raises(InvalidInput, match="arc_samples"):
+            skeleton(sys_, 1, arc_samples=arc_samples)
 
 
 # ---------------------------------------------------------------------------

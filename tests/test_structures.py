@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from greenray import angles as ang
 from greenray.errors import (NotAdmissible, OverlappingWindows, RootNode,
                              SchemaError)
 from greenray.potential import critical_potential
@@ -346,6 +347,22 @@ def subtree_size(tree, nid) -> int:
     return 1 + sum(subtree_size(tree, c) for c in tree.nodes[nid].children)
 
 
+def _cumulative_position_d(window, origin, theta, d) -> float:
+    """Oracle for `structures._offset`: the mass of the pushforward of d
+    swept ccw inside the window from `origin` to theta.
+
+    Pieces are weighted by d(hi) - d(lo); d is evaluated with the lift
+    normalisation d(0) = 0, d(1) = 1, so no wrap correction is needed for
+    the stored (non-wrapping) pieces.
+    """
+    acc = 0.0
+    for lo, hi in ang._cyclic_pieces_from(window, origin):
+        if lo <= theta <= hi:
+            return acc + (d(float(theta)) - d(float(lo)))
+        acc += d(float(hi)) - d(float(lo))
+    raise AssertionError("theta is not inside the window")
+
+
 def test_collapse_merged_angular_invariant_telescopes(tree_m3_d4):
     victim = tree_m3_d4.level(2)[0]
     vs = VirtualStructure(flat_on_window(victim.windows),
@@ -358,11 +375,10 @@ def test_collapse_merged_angular_invariant_telescopes(tree_m3_d4):
     merged = min((n for n in out.level(1)), key=lambda n: -n.modulus)
     # oracle: positions of the bottom inner accesses inside the top window,
     # measured by mu_d from the parent's entering access
-    from greenray import angles as ang
     origin = ang.entering_access(parent.windows, parent.outer_accesses)
     total = measure_of(vs.d, parent.windows)
     pos = sorted(
-        ang.cumulative_position_d(parent.windows, origin, b, vs.d) / total
+        _cumulative_position_d(parent.windows, origin, b, vs.d) / total
         for b in sibling.inner_accesses)
     expect = tuple(sorted(((-p) % 1.0 for p in pos), reverse=True))
     got = tuple(sorted(merged.angular_invariant, reverse=True))
