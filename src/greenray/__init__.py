@@ -6,10 +6,10 @@ from .errors import (AngleUnresolved, CombinatoricsMismatch, ConfigError,
                      InvalidInput, NonFinite, NotAdmissible, OnSkeleton,
                      OverlappingWindows, RayCrash, RootHasInfiniteModulus,
                      RootNode, SchemaError, TargetRayCrash)
-from .potential import (GreenCoordinate, GreenSystem, QuadraticParams,
-                        critical_potential, escape_green, invert_green_coords,
-                        julia_samples, log_bottcher, precritical_points,
-                        skeleton, trace_equipotential, trace_ray)
+from .potential import (GreenCoordinate, GreenSystem, critical_potential,
+                        escape_green, invert_green_coords, julia_samples,
+                        log_bottcher, precritical_points, skeleton,
+                        trace_equipotential, trace_ray)
 from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
                       build_quadratic_pair, continuum_map, convergence_study,
                       quasihyperbolic_displacement, transport_exterior,
@@ -25,7 +25,7 @@ from .tree import (AnalyticTree, TreeNode, abstract_binary_tree,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GreenCoordinate", "GreenSystem", "QuadraticParams",
+    "GreenCoordinate", "GreenSystem",
     "critical_potential", "escape_green", "invert_green_coords",
     "julia_samples", "log_bottcher", "precritical_points", "skeleton",
     "trace_equipotential", "trace_ray",

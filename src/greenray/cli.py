@@ -21,8 +21,8 @@ import numpy as np
 
 from . import render
 from .errors import ConfigError, GreenrayError, InvalidInput
-from .potential import (GreenSystem, critical_potential, descend_rays_bulk,
-                        escape_green, escape_green_bulk,
+from .potential import (G_MAX, GreenSystem, critical_potential,
+                        descend_rays_bulk, escape_green_bulk,
                         invert_green_coords, julia_samples,
                         skeleton, trace_equipotential, trace_ray)
 from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
@@ -54,6 +54,8 @@ MAX_GRID_SIDE = 512
 # c = -3, 16384 ray samples took 0.15 s and two curves of 16384 at
 # g = 0.3 1.3-1.7 s.
 MAX_SAMPLES = 16384
+# The keys a --config file may set; any other is a ConfigError.
+CONFIG_KEYS = ("c_re", "c_im", "max_iter", "tol")
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,9 @@ def _read_config(path: str | None) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                                  f"expected one of {', '.join(CONFIG_KEYS)}")
             out[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -129,7 +134,6 @@ def _build_system(args, cfg: dict) -> GreenSystem:
     if c_re is None:
         raise ConfigError("parameter c is required (flag or config c_re)")
     c_im = pick("c_im", "c_im", float, 0.0)
-    esc = pick("escape_radius", "escape_radius", float)
     max_iter = int(pick("max_iter", "max_iter", int, 256))
     tol = float(pick("tol", "tol", float, 1e-9))
     cva = getattr(args, "critical_value_angle", None)
@@ -137,8 +141,8 @@ def _build_system(args, cfg: dict) -> GreenSystem:
     if cva is not None:
         kwargs["critical_value_angle"] = _parse_values(
             "--critical-value-angle", cva, Fraction, (1,))[0]
-    return GreenSystem.from_c(complex(c_re, c_im), escape_radius=esc,
-                              max_iter=max_iter, tol=tol, **kwargs)
+    return GreenSystem.from_c(complex(c_re, c_im), max_iter=max_iter,
+                              tol=tol, **kwargs)
 
 
 def _parse_values(flag: str, text: str, cast, counts=None) -> list:
@@ -266,14 +270,14 @@ def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
         "reasons": list(rep.reasons),
     })
     if args.skeleton:
-        rows = []
-        for arc in skeleton(sys_, min(args.depth, args.skeleton)):
-            a = float(arc.access_angles[0])
-            for p in arc.polyline:
-                g, _ = escape_green(sys_, p)
-                rows.append((p.real, p.imag, g, a))
+        arcs = skeleton(sys_, min(args.depth, args.skeleton))
+        pts = [p for arc in arcs for p in arc.polyline]
+        angles = [float(arc.access_angles[0])
+                  for arc in arcs for _ in arc.polyline]
+        g, _ = escape_green_bulk(sys_, pts)
         sink.write_csv("skeleton.csv", ["re", "im", "potential", "angle"],
-                       rows)
+                       [(p.real, p.imag, gp, a)
+                        for p, gp, a in zip(pts, g.tolist(), angles)])
     if args.svg:
         sink.write_text("tree.svg", render.tree_cylinder_svg(tree))
 
@@ -302,6 +306,10 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
     _check_count("--samples", args.samples, MAX_SAMPLES)
     if args.hausdorff and args.hausdorff_rays < 1:
         raise InvalidInput(f"--hausdorff-rays {args.hausdorff_rays} is below 1")
+    emit = set(args.emit.split(","))
+    if not emit <= {"csv", "json", "svg"}:
+        raise ConfigError(f"cannot parse --emit value {args.emit!r}: "
+                          "kinds are csv, json, svg")
     vs = _structure_from_args(args)
     src = GreenSystem.from_c(complex(args.source_c, 0.0))
     tgt = GreenSystem.from_c(complex(args.target_c, 0.0))
@@ -323,7 +331,6 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
         max_pot_res = max(max_pot_res, pr)
         max_ang_res = max(max_ang_res, ar)
         rows.append((theta, g, z.real, z.imag, w.real, w.imag, pr, ar))
-    emit = set(args.emit.split(","))
     if "csv" in emit:
         sink.write_csv("rectify_residuals.csv",
                        ["theta", "g", "z_re", "z_im", "w_re", "w_im",
@@ -367,6 +374,8 @@ def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
 def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
     _check_count("--displacement-points", args.displacement_points,
                  MAX_SAMPLES)
+    if not 0.0 < args.probe_g <= G_MAX:
+        raise InvalidInput(f"--probe-g {args.probe_g} is outside (0, {G_MAX}]")
     sys_ = _build_system(args, cfg)
     cm = ContinuumMap(sys_, _parse_k(args.k))
     radii = _parse_values("--radii", args.radii, float)
@@ -398,8 +407,6 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
                    help="real part of the parameter c")
     p.add_argument("--c-im", type=float, default=None, dest="c_im",
                    help="imaginary part of c (default 0)")
-    p.add_argument("--escape-radius", type=float, default=None,
-                   dest="escape_radius")
     p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--critical-value-angle", default=None,
@@ -415,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output-dir", default="out")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--config", default=None,
-                    help="key=value file: c_re, c_im, escape_radius, "
-                         "max_iter, tol")
+                    help="key=value file: " + ", ".join(CONFIG_KEYS)
+                         + "; any other key is a ConfigError")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("green", help="Green potential on a grid")
@@ -478,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the dyadic-level pairing map for k")
     p.add_argument("--samples", type=int, default=200,
                    help=f"exterior samples, at most {MAX_SAMPLES}")
-    p.add_argument("--emit", default="csv,json", help="any of csv,svg,json")
+    p.add_argument("--emit", default="csv,json",
+                   help="comma-separated artifacts, any of csv,json,svg")
     p.add_argument("--hausdorff", action="store_true",
                    help="also measure transported boundary proximity")
     p.add_argument("--hausdorff-rays", type=int, default=2048,

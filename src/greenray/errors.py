@@ -16,10 +16,8 @@ class InvalidInput(GreenrayError, ValueError):
 
 
 class NonFinite(GreenrayError):
-    """An input or an orbit iterate overflowed before escape was certified.
-
-    Usually signals an escape radius too large relative to the float range.
-    """
+    """An input or an orbit iterate is not finite, or an iterate overflowed
+    before its escape was certified (only for a huge |c|)."""
 
 
 class InsideK(GreenrayError):
@@ -38,17 +36,15 @@ class RayCrash(GreenrayError):
     """A traced external ray hits a precritical point.
 
     Attributes carry the crash data when known: ``crash_potential`` (the
-    Green value of the precritical point), ``level`` (its depth, i.e. the
-    point is an n-th preimage of the critical point), and ``crash_point``
-    (its location, when it was resolved).
+    Green value of the precritical point) and ``level`` (its depth, i.e. the
+    point is an n-th preimage of the critical point).
     """
 
     def __init__(self, message: str, crash_potential: float | None = None,
-                 level: int | None = None, crash_point: complex | None = None):
+                 level: int | None = None):
         super().__init__(message)
         self.crash_potential = crash_potential
         self.level = level
-        self.crash_point = crash_point
 
 
 class CriticalLevel(GreenrayError):

@@ -31,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +43,8 @@ from .errors import (AngleUnresolved, Connected, CriticalLevel, InsideK,
 # Far potential of ray descent: every descent starts from psi_c at a
 # potential >= G_FAR, where its series is certified (`_psi_coefficients`).
 G_FAR = 6.0
+# Largest target potential of ray descent, within the float range of psi_c.
+G_MAX = 300.0
 # Magnitude beyond which iterates are treated as infinite-precision escapes.
 _HUGE = 1e150
 # Largest order N of the inverse Böttcher series tried for a parameter.  It
@@ -53,26 +56,6 @@ _PSI_MAX_ORDER = 48
 MAX_JULIA_DEPTH = 22
 
 
-@dataclass(frozen=True)
-class QuadraticParams:
-    """Parameters of one quadratic system f_c(z) = z^2 + c."""
-
-    c: complex
-    escape_radius: float
-    max_iter: int = 256
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.c)):
-            raise NonFinite("parameter c must be finite")
-        if self.escape_radius < 2.0 + abs(self.c):
-            raise InvalidInput("escape_radius must be >= 2 + |c|")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be >= 1")
-        if not (self.tol > 0):
-            raise InvalidInput("tol must be positive")
-
-
 class GreenCoordinate(NamedTuple):
     """Log-Böttcher coordinate: external angle in [0,1) and Green potential."""
 
@@ -82,71 +65,70 @@ class GreenCoordinate(NamedTuple):
 
 @dataclass(frozen=True)
 class GreenSystem:
-    """A computable Green chart for one quadratic parameter.
+    """A computable Green chart for one quadratic parameter f_c(z) = z^2 + c.
 
-    `connectivity` is decided by the critical orbit within max_iter
-    (bounded orbit => connected).  The critical value angle is stored as an
-    exact rational; for real c < -2 it is 1/2.
+    Construction works out once the escape radius max(2 + |c|, 3) and G(0),
+    which is positive (Cantor) exactly when the critical orbit escapes
+    within max_iter.  The critical value angle is an exact rational for a
+    Cantor parameter, 1/2 by default on the real ray c < -2, and None for a
+    connected one.
 
     Far points of ray descent come from the Laurent series of the inverse
     Böttcher map, psi_c(u) = u * A(u^-2) with A(v) = sum a_n v^n, truncated
     at an order N certified for every potential >= G_FAR.  The coefficients
-    a_0..a_N are computed once, on construction (`_psi_coefficients`).
+    a_0..a_N are computed on construction too (`_psi_coefficients`).
     """
 
-    params: QuadraticParams
-    connectivity: str                      # 'cantor' | 'connected'
-    critical_value_angle: Fraction | None
-    robin_constant: float = 0.0
-    _g0: float = field(default=0.0, repr=False)
+    c: complex
+    max_iter: int = 256
+    tol: float = 1e-9
+    critical_value_angle: Fraction | None = None
+    escape_radius: float = field(init=False, repr=False, compare=False)
+    _g0: float = field(init=False, repr=False, compare=False)
     _psi: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # G(0) is certified to within tol, so e^(G(0) + tol) bounds R
-        object.__setattr__(self, "_psi", _psi_coefficients(
-            self.params.c, self._g0 + self.params.tol))
-
-    @staticmethod
-    def from_c(c: complex, escape_radius: float | None = None,
-               max_iter: int = 256, tol: float = 1e-9,
-               critical_value_angle: Fraction | None = None) -> "GreenSystem":
-        c = complex(c)
-        if escape_radius is None:
-            escape_radius = max(2.0 + abs(c), 3.0)
-        params = QuadraticParams(c, escape_radius, max_iter, tol)
-        g0, _ = _escape_green(params, 0.0 + 0.0j)
+        c = complex(self.c)
+        if not cmath.isfinite(c):
+            raise NonFinite("parameter c must be finite")
+        if self.max_iter < 1:
+            raise InvalidInput("max_iter must be >= 1")
+        if not (self.tol > 0):
+            raise InvalidInput("tol must be positive")
+        put = partial(object.__setattr__, self)
+        put("c", c)
+        put("escape_radius", max(2.0 + abs(c), 3.0))
+        g0, _ = escape_green(self, 0.0 + 0.0j)
+        put("_g0", g0)
+        cva = self.critical_value_angle
         if g0 <= 0.0:
-            return GreenSystem(params, "connected", None, 0.0, 0.0)
-        cva = critical_value_angle
-        if cva is None:
-            if c.imag == 0.0 and c.real < -2.0:
-                cva = Fraction(1, 2)
-            else:
+            cva = None
+        else:
+            if cva is None and (c.imag != 0.0 or c.real >= -2.0):
                 raise InvalidInput(
                     "critical_value_angle must be supplied for a Cantor "
                     "parameter off the real ray c < -2")
-        cva = ang.frac1(Fraction(cva))
-        if cva.denominator % 2 == 1:
-            raise InvalidInput(
-                "critical value angle periodic under doubling is non-generic "
-                "and unsupported")
-        return GreenSystem(params, "cantor", cva, 0.0, g0)
+            cva = ang.frac1(Fraction(1, 2) if cva is None else Fraction(cva))
+            if cva.denominator % 2 == 1:
+                raise InvalidInput(
+                    "critical value angle periodic under doubling is "
+                    "non-generic and unsupported")
+        put("critical_value_angle", cva)
+        # G(0) is certified to within tol, so e^(G(0) + tol) bounds R
+        put("_psi", _psi_coefficients(c, g0 + self.tol))
 
-    @property
-    def c(self) -> complex:
-        return self.params.c
-
-    @property
-    def tol(self) -> float:
-        return self.params.tol
+    @staticmethod
+    def from_c(c: complex, max_iter: int = 256, tol: float = 1e-9,
+               critical_value_angle: Fraction | None = None) -> "GreenSystem":
+        return GreenSystem(c, max_iter, tol, critical_value_angle)
 
     @property
     def is_cantor(self) -> bool:
-        return self.connectivity == "cantor"
+        return self._g0 > 0.0
 
     @property
     def is_real(self) -> bool:
-        return self.params.c.imag == 0.0
+        return self.c.imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -172,50 +154,39 @@ def _tail(a, n: int, ac: float, ldexp=math.ldexp):
     return ldexp(ac / (a * a - ac), -n)
 
 
-# The NonFinite messages of the escape loop; `escape_green_bulk` keeps the
-# index of each failed point's message.
-_NON_FINITE = ("input point is not finite",
-               "iterate overflow before escape certification; "
-               "escape_radius too large for the float range",
-               "iterate overflow")
-
-
-def _escape_green(params: QuadraticParams, z: complex) -> tuple[float, float]:
-    c = params.c
-    w = complex(z)
-    if not cmath.isfinite(w):
-        raise NonFinite(_NON_FINITE[0])
-    ac = abs(c)
-    n = 0
-    while n < params.max_iter:
-        a = abs(w)
-        if a >= params.escape_radius:
-            # certified escaping: keep doubling until the harmonic tail
-            # drops below tol (the tail is 0 once a >= _HUGE)
-            err = _tail(a, n, ac) if a < _HUGE else 0.0
-            if err <= 0.5 * params.tol or a >= _HUGE:
-                return _escaped(a, n, err)
-        elif a >= _HUGE:
-            raise NonFinite(_NON_FINITE[1])
-        w = w * w + c
-        n += 1
-        if not cmath.isfinite(w):
-            raise NonFinite(_NON_FINITE[2])
-    a = abs(w)
-    if a >= params.escape_radius:
-        # escaped but the budget ran out before the tail bound met tol:
-        # return the estimate with its honest (larger) bound
-        return _escaped(a, n, _tail(a, n, ac))
-    return 0.0, params.tol
-
-
 def escape_green(sys: GreenSystem, z: complex) -> tuple[float, float]:
     """Green potential of z with a certified absolute error bound.
 
     Returns (0, tol) when the orbit stays bounded for max_iter steps, i.e.
-    the point is treated as in or at the Julia set.
+    the point is treated as in or at the Julia set.  A point that is not
+    finite, or an orbit that overflows, raises NonFinite.
     """
-    return _escape_green(sys.params, z)
+    c = sys.c
+    w = complex(z)
+    if not cmath.isfinite(w):
+        raise NonFinite("input point is not finite")
+    ac = abs(c)
+    n = 0
+    while n < sys.max_iter:
+        a = abs(w)
+        if a >= sys.escape_radius:
+            # certified escaping: keep doubling until the harmonic tail
+            # drops below tol (the tail is 0 once a >= _HUGE)
+            err = _tail(a, n, ac) if a < _HUGE else 0.0
+            if err <= 0.5 * sys.tol or a >= _HUGE:
+                return _escaped(a, n, err)
+        elif a >= _HUGE:
+            raise NonFinite("iterate overflow before escape certification")
+        w = w * w + c
+        n += 1
+        if not cmath.isfinite(w):
+            raise NonFinite("iterate overflow")
+    a = abs(w)
+    if a >= sys.escape_radius:
+        # escaped but the budget ran out before the tail bound met tol:
+        # return the estimate with its honest (larger) bound
+        return _escaped(a, n, _tail(a, n, ac))
+    return 0.0, sys.tol
 
 
 def escape_green_bulk(sys: GreenSystem, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -226,53 +197,51 @@ def escape_green_bulk(sys: GreenSystem, zs) -> tuple[np.ndarray, np.ndarray]:
     the step is written on real and imaginary parts as Python's complex
     product is, |w| is `np.hypot` as in `abs(complex)`, and each escaped
     point is finished by the scalar `_escaped`.  If any point is not
-    finite or overflows, NonFinite is raised for the first such point in
-    order, as a loop over the points would raise it.
+    finite or overflows, the first such point in order goes through
+    `escape_green`, which raises its NonFinite, as a loop over the points
+    would.
     """
-    params = sys.params
     z = np.asarray(zs, dtype=complex)
     g = np.zeros(z.size)
-    err = np.full(z.size, params.tol)
+    err = np.full(z.size, sys.tol)
     x, y = z.real.ravel(), z.imag.ravel()
-    failed = np.full(z.size, -1)           # index into _NON_FINITE
-    bad = ~(np.isfinite(x) & np.isfinite(y))
-    failed[bad] = 0
-    live = np.flatnonzero(~bad)
+    failed = ~(np.isfinite(x) & np.isfinite(y))
+    live = np.flatnonzero(~failed)
     x, y = x[live], y[live]
-    cr, ci, ac = params.c.real, params.c.imag, abs(params.c)
+    cr, ci, ac = sys.c.real, sys.c.imag, abs(sys.c)
 
     # a * a overflows where a >= _HUGE, and the step where an orbit does;
     # both are dealt with below, as the scalar loop deals with them
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(params.max_iter + 1):
+        for n in range(sys.max_iter + 1):
             a = np.hypot(x, y)
-            out = np.flatnonzero(a >= params.escape_radius)
+            out = np.flatnonzero(a >= sys.escape_radius)
             ao = a[out]
             tail = _tail(ao, n, ac, np.ldexp)
-            if n < params.max_iter:
+            if n < sys.max_iter:
                 huge = ao >= _HUGE
                 tail[huge] = 0.0
-                done = huge | (tail <= 0.5 * params.tol)
+                done = huge | (tail <= 0.5 * sys.tol)
                 out, ao, tail = out[done], ao[done], tail[done]
             for i, ai, ti in zip(live[out].tolist(), ao.tolist(),
                                  tail.tolist()):
                 g[i], err[i] = _escaped(ai, n, ti)
-            if n == params.max_iter:
+            if n == sys.max_iter:
                 break
             keep = np.ones(live.size, dtype=bool)
             keep[out] = False
             inside_huge = keep & (a >= _HUGE)
-            failed[live[inside_huge]] = 1
+            failed[live[inside_huge]] = True
             keep &= ~inside_huge
             live, x, y = live[keep], x[keep], y[keep]
             x, y = (x * x - y * y) + cr, (x * y + y * x) + ci
             over = ~(np.isfinite(x) & np.isfinite(y))
-            failed[live[over]] = 2
+            failed[live[over]] = True
             live, x, y = live[~over], x[~over], y[~over]
             if not live.size:
                 break
-    if (failed >= 0).any():
-        raise NonFinite(_NON_FINITE[failed[np.argmax(failed >= 0)]])
+    if failed.any():
+        escape_green(sys, z.ravel()[np.argmax(failed)])
     return g.reshape(z.shape), err.reshape(z.shape)
 
 
@@ -496,7 +465,7 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
         raise InvalidInput("potential must be positive")
     if any(a < b for a, b in zip(targets, targets[1:])):
         raise InvalidInput("target potentials must be non-increasing")
-    if targets[0] > 300.0:
+    if targets[0] > G_MAX:
         raise InvalidInput("potential too large for the float chart range")
     pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
     if not pq:

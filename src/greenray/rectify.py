@@ -29,9 +29,9 @@ from scipy.spatial import cKDTree
 
 from .angles import circ_dist
 from .errors import (CombinatoricsMismatch, Connected, GreenrayError,
-                     InvalidInput, RayCrash, TargetRayCrash)
+                     InsideK, InvalidInput, RayCrash, TargetRayCrash)
 from .potential import (GreenCoordinate, GreenSystem, critical_potential,
-                        descend_rays_bulk, escape_green, invert_green_coords,
+                        descend_rays_bulk, invert_green_coords,
                         julia_samples, log_bottcher, trace_ray)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                          lipschitz_approx_d, lipschitz_approx_k)
@@ -49,7 +49,6 @@ class TransportMap:
     source: GreenSystem
     target: GreenSystem
     vs: VirtualStructure
-    normalization: str = "infinity fixed; Böttcher tangency pins the charts"
 
     @property
     def tol(self) -> float:
@@ -87,7 +86,7 @@ def _to_target(tm: TransportMap, gc: GreenCoordinate) -> complex:
 def transport_residuals(tm: TransportMap, z: complex) -> tuple[float, float]:
     """Defining-equation residuals (|potential|, angle distance) at z."""
     gc = log_bottcher(tm.source, z)
-    w = transport_exterior(tm, z)
+    w = _to_target(tm, gc)
     gcw = log_bottcher(tm.target, w)
     return (abs(gcw.potential - tm.vs.k(gc.potential)),
             circ_dist(gcw.angle, tm.vs.d(gc.angle) % 1.0))
@@ -243,11 +242,10 @@ def boundary_derivative_probe(cm: ContinuumMap, z0: complex,
         for j in range(n_directions):
             direction = cmath.exp(2j * math.pi * j / n_directions)
             h = r * direction
-            zp = z0 + h
-            g, _ = escape_green(cm.system, zp)
-            if g <= 0.0:
+            try:
+                w = continuum_map(cm, z0 + h)
+            except InsideK:
                 continue
-            w = continuum_map(cm, zp)
             out.append(ProbeSample(r, direction, (w - z0) / h))
     return out
 

@@ -8,7 +8,8 @@ import greenray.cli
 import greenray.rectify
 import greenray.structures
 from greenray.cli import main
-from greenray.potential import julia_samples
+from greenray.potential import (GreenSystem, critical_potential, escape_green,
+                                julia_samples)
 from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                                  serialize_structure)
 from greenray.tree import deserialize_tree
@@ -126,6 +127,11 @@ def test_tree_skeleton_csv(tmp_path):
     rows = (out / "skeleton.csv").read_text().strip().split("\n")
     assert rows[0] == "re,im,potential,angle"
     assert len(rows) > 3
+    # one batched escape call gives each point's scalar potential bit for bit
+    sys_ = GreenSystem.from_c(-3.0)
+    for row in rows[1:]:
+        re, im, g, _ = map(float, row.split(","))
+        assert escape_green(sys_, complex(re, im))[0] == g
 
 
 def no_work(*args, **kwargs):
@@ -224,7 +230,6 @@ def test_ray_above_potential_cap_writes_nothing(tmp_path, capsys):
 
 def test_critical_level_maps_to_error_name(tmp_path, capsys):
     # equipotential exactly at G(0) is not Jordan
-    from greenray.potential import GreenSystem, critical_potential
     g0 = critical_potential(GreenSystem.from_c(-3.0))
     code = run(["--output-dir", tmp_path / "x", "equipot", "--c", "-3",
                 "--g", repr(g0), "--samples", "16"])
@@ -250,8 +255,49 @@ def test_config_error(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["toll = 1e-3", "max_itr = 5",
+                                  "escape_radius = 6"])
+def test_config_unknown_key(tmp_path, capsys, monkeypatch, line):
+    # a misspelt or retired key used to be dropped without a word
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(f"c_re = -3.0\n{line}\n")
+    out = tmp_path / "x"
+    assert run(["--output-dir", out, "--config", cfg, "green"]) == 1
+    key = line.split(" ", 1)[0]
+    assert capsys.readouterr().err.startswith(
+        f"error: ConfigError: {cfg}:2: unknown key {key!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("emit", ["bogus", "csv,bogus", "csv,"])
+def test_rectify_emit_rejects_unknown_kind(tmp_path, capsys, monkeypatch,
+                                           emit):
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    for name in ("build_quadratic_pair", "TransportMap",
+                 "_structure_from_args"):
+        monkeypatch.setattr(greenray.cli, name, no_work)
+    out = tmp_path / "x"
+    assert run(["--output-dir", out, "rectify", "--source-c=-3",
+                "--target-c=-5", "--samples", "3", "--emit", emit]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ConfigError: cannot parse --emit value {emit!r}")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "301", "nan", "inf"])
+def test_probe_g_rejects_before_work(tmp_path, capsys, monkeypatch, value):
+    # a bad --probe-g used to fail after probe_quotients.csv was written
+    monkeypatch.setattr(greenray.cli, "_build_system", no_work)
+    out = tmp_path / "x"
+    assert run(["--output-dir", out, "probe", "--c", "-1", "--probe-g", value,
+                "--displacement-points", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: InvalidInput: --probe-g {float(value)} is outside (0, 300.0]")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, name", [
-    (["green", "--c", "-3", "--escape-radius", "1"], "InvalidInput"),
     (["green", "--c", "-3", "--window", "1,2"], "ConfigError"),
     (["ray", "--c", "-3", "--angle", "1/3", "--g-lo", "0.5", "--g-hi", "0.1"],
      "InvalidInput"),
@@ -266,7 +312,7 @@ def test_config_error(tmp_path, capsys):
     (["probe", "--c", "-1", "--radii", "0.1,x"], "ConfigError"),
     (["probe", "--c", "-1", "--z0", "1,0,2"], "ConfigError"),
     (["tree", "--c", "-3", "--depth", "2", "--skeleton", "-1"], "InvalidInput"),
-], ids=["escape_radius", "window", "g_range", "depth", "huge_c",
+], ids=["window", "g_range", "depth", "huge_c",
         "angle", "critical_value_angle", "n_list", "radii", "z0",
         "skeleton_depth"])
 def test_invalid_input_maps_to_error_name(tmp_path, capsys, args, name):

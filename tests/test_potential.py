@@ -18,7 +18,6 @@ from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
                              InsideK, InvalidInput, NonFinite, OnSkeleton,
                              RayCrash)
 from greenray.potential import (G_FAR, MAX_JULIA_DEPTH, GreenSystem,
-                                QuadraticParams,
                                 _crash_level, _descend, _far_points,
                                 _ray_angle,
                                 critical_potential, descend_rays_bulk,
@@ -106,20 +105,23 @@ def test_nonfinite_input(sys_m3):
 
 
 def test_overflow_before_certification():
-    # escape radius beyond float range forces an overflow mid-iteration
-    params_bad = QuadraticParams(c=0.0, escape_radius=1e300, max_iter=50)
-    sys_bad = GreenSystem(params_bad, "connected", None, 0.0, 0.0)
-    with pytest.raises(NonFinite):
-        escape_green(sys_bad, 1e200)
+    # for |c| = 1e200 the escape radius lies past _HUGE: the first iterate
+    # of 7e99, about -5.1e199, is inside the radius, yet its square overflows
+    sys_bad = GreenSystem.from_c(-1e200)
+    with pytest.raises(NonFinite, match="^iterate overflow before escape "
+                                        "certification$"):
+        escape_green(sys_bad, 7e99)
 
 
 def test_params_validation():
+    assert GreenSystem.from_c(-3.0).escape_radius == 5.0
+    assert GreenSystem.from_c(0.25j).escape_radius == 3.0
     with pytest.raises(ValueError):
-        QuadraticParams(c=-3.0, escape_radius=1.0)
+        GreenSystem.from_c(-3.0, max_iter=0)
     with pytest.raises(ValueError):
-        QuadraticParams(c=-3.0, escape_radius=6.0, max_iter=0)
-    with pytest.raises(ValueError):
-        QuadraticParams(c=-3.0, escape_radius=6.0, tol=0.0)
+        GreenSystem.from_c(-3.0, tol=0.0)
+    with pytest.raises(NonFinite):
+        GreenSystem.from_c(complex("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +202,19 @@ def test_escape_green_bulk_nonfinite_input(sys_m3, bad):
 
 
 def test_escape_green_bulk_overflow_before_certification():
-    params_bad = QuadraticParams(c=0.0, escape_radius=1e300, max_iter=50)
-    sys_bad = GreenSystem(params_bad, "connected", None, 0.0, 0.0)
-    _bulk_raises_like_scalar(sys_bad, [0.5, 1e200, 2.0])
+    sys_bad = GreenSystem.from_c(-1e200)
+    _bulk_raises_like_scalar(sys_bad, [0.5, 7e99, 2.0])
     # the first failing point in order names the error, whatever its kind
-    _bulk_raises_like_scalar(sys_bad, [0.5, 1e200, complex("nan")])
+    _bulk_raises_like_scalar(sys_bad, [0.5, 7e99, complex("nan")])
+    _bulk_raises_like_scalar(sys_bad, [0.5, complex("nan"), 7e99])
 
 
 def test_escape_green_bulk_iterate_overflow():
     # 1e149^2 + c passes the float range in one step
-    c = 1.7976931348623157e308
-    params = QuadraticParams(c=c, escape_radius=c, max_iter=50)
-    sys_big = GreenSystem(params, "connected", None, 0.0, 0.0)
+    sys_big = GreenSystem.from_c(1.7976931348623157e308,
+                                 critical_value_angle=Fraction(1, 2))
+    with pytest.raises(NonFinite, match="^iterate overflow$"):
+        escape_green(sys_big, 1e149)
     _bulk_raises_like_scalar(sys_big, [1e149])
     _bulk_raises_like_scalar(sys_big, [0.0, 1e149, complex("inf")])
 
