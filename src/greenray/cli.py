@@ -20,15 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import render
-from .errors import ConfigError, GreenrayError, InvalidInput
+from .errors import ConfigError, Connected, GreenrayError, InvalidInput
 from .potential import (G_MAX, GreenSystem, critical_potential,
                         descend_rays_bulk, escape_green_bulk,
                         invert_green_coords, julia_samples,
                         skeleton, trace_equipotential, trace_ray)
-from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
-                      build_quadratic_pair, convergence_study,
-                      quasihyperbolic_displacement, transport_exterior,
-                      transport_residuals, transported_boundary_distance)
+from .rectify import (ContinuumMap, TransportMap, _transport_and_residuals,
+                      boundary_derivative_probe, build_quadratic_pair,
+                      convergence_study, quasihyperbolic_displacement,
+                      transport_exterior, transported_boundary_distance)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                          admissible, collapse, deserialize_structure)
 from .tree import (build_quadratic_tree, deserialize_tree, serialize_tree,
@@ -49,7 +49,8 @@ MAX_GRID_SIDE = 512
 # `probe --displacement-points`.  Each sample is one transport or
 # displacement query: on a 2-core machine 2000 rectify samples (c = -3 to
 # -5) took 1.9 s, 1024 converge samples over the default seven n 0.7 s and
-# 1024 probe points at c = -1 2.1 s.  It also caps `ray --samples` and
+# 1024 probe points at c = -1 2.1 s.  It caps `rectify --hausdorff-rays`,
+# one deep descent per ray, in one batch.  It also caps `ray --samples` and
 # `equipot --samples` (points per curve), which descend in one batch: at
 # c = -3, 16384 ray samples took 0.15 s and two curves of 16384 at
 # g = 0.3 1.3-1.7 s.
@@ -185,6 +186,19 @@ def _structure_from_args(args) -> VirtualStructure:
                             _parse_k(getattr(args, "k", "id") or "id"))
 
 
+def _transport_map(args) -> TransportMap:
+    """The transport map of `rectify` and `converge`, each system built once.
+    `--pair-k` sets (d, k), so --structure, --d and --k must stay id."""
+    if getattr(args, "pair_k", False):
+        if args.structure or args.d != "id" or args.k != "id":
+            raise ConfigError("--pair-k sets d and k; it cannot be combined "
+                              "with --structure, --d or --k")
+        return build_quadratic_pair(args.source_c, args.target_c)
+    vs = _structure_from_args(args)
+    return TransportMap(GreenSystem.from_c(complex(args.source_c, 0.0)),
+                        GreenSystem.from_c(complex(args.target_c, 0.0)), vs)
+
+
 def _ring_points(sys: GreenSystem, g: float, n: int) -> list[complex]:
     """Exterior sample ring at fixed potential, angles off the access grid."""
     thetas = [((i + 0.5) / n + GOLDEN / n * 0.5) % 1.0 for i in range(n)]
@@ -204,8 +218,10 @@ def _check_count(flag: str, n: int, cap: int, low: int = 1) -> None:
 def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
     _check_count("--nx", args.nx, MAX_GRID_SIDE)
     _check_count("--ny", args.ny, MAX_GRID_SIDE)
-    sys_ = _build_system(args, cfg)
     x0, x1, y0, y1 = _parse_values("--window", args.window, float, (4,))
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise InvalidInput(f"--window {args.window!r} is not finite")
+    sys_ = _build_system(args, cfg)
     re = x0 + (x1 - x0) * (np.arange(args.nx) + 0.5) / args.nx
     im = y0 + (y1 - y0) * (np.arange(args.ny) + 0.5) / args.ny
     z = np.empty((args.ny, args.nx), dtype=complex)
@@ -245,18 +261,10 @@ def _cmd_equipot(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
-    if args.depth < 1:
-        raise InvalidInput(f"--depth {args.depth} is below 1")
-    if args.skeleton < 0:
-        raise InvalidInput(f"--skeleton {args.skeleton} is below 0")
-    if args.depth > MAX_TREE_DEPTH:
-        raise InvalidInput(f"--depth {args.depth} exceeds the cap "
-                           f"{MAX_TREE_DEPTH}: the tree would have "
-                           f"2^{args.depth + 1} - 1 nodes")
-    if args.skeleton > MAX_SKELETON_DEPTH:
-        raise InvalidInput(f"--skeleton {args.skeleton} exceeds the cap "
-                           f"{MAX_SKELETON_DEPTH}: the skeleton would have "
-                           f"up to 2^{args.skeleton + 1} - 1 arcs")
+    _check_count("--depth", args.depth, MAX_TREE_DEPTH)
+    _check_count("--skeleton", args.skeleton, MAX_SKELETON_DEPTH, low=0)
+    if args.m0 is not None and not 0.0 < args.m0 < math.inf:
+        raise InvalidInput(f"--m0 {args.m0} is not finite and positive")
     sys_ = _build_system(args, cfg)
     tree = build_quadratic_tree(sys_, args.depth)
     sink.write_text("tree.json", serialize_tree(tree) + "\n")
@@ -304,19 +312,16 @@ def _cmd_collapse(args, cfg, sink: ArtifactSink) -> None:
 
 def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
     _check_count("--samples", args.samples, MAX_SAMPLES)
-    if args.hausdorff and args.hausdorff_rays < 1:
-        raise InvalidInput(f"--hausdorff-rays {args.hausdorff_rays} is below 1")
+    _check_count("--hausdorff-rays", args.hausdorff_rays, MAX_SAMPLES)
     emit = set(args.emit.split(","))
     if not emit <= {"csv", "json", "svg"}:
         raise ConfigError(f"cannot parse --emit value {args.emit!r}: "
                           "kinds are csv, json, svg")
-    vs = _structure_from_args(args)
-    src = GreenSystem.from_c(complex(args.source_c, 0.0))
-    tgt = GreenSystem.from_c(complex(args.target_c, 0.0))
-    if args.pair_k:
-        tm = build_quadratic_pair(args.source_c, args.target_c)
-    else:
-        tm = TransportMap(src, tgt, vs)
+    tm = _transport_map(args)
+    src = tm.source
+    if args.hausdorff and not src.is_cantor:
+        raise Connected("--hausdorff needs a Cantor source, with a "
+                        "critical potential")
     rng = np.random.default_rng(args.seed)
     g_top = critical_potential(src) if src.is_cantor else 1.0
     rows = []
@@ -325,9 +330,8 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
     for _ in range(args.samples):
         theta = float(rng.random())
         g = float(g_top * (0.2 + 1.3 * rng.random()))
-        z = invert_green_coords(tm.source, (theta, g))
-        w = transport_exterior(tm, z)
-        pr, ar = transport_residuals(tm, z)
+        z = invert_green_coords(src, (theta, g))
+        w, pr, ar = _transport_and_residuals(tm, z)
         max_pot_res = max(max_pot_res, pr)
         max_ang_res = max(max_ang_res, ar)
         rows.append((theta, g, z.real, z.imag, w.real, w.imag, pr, ar))
@@ -342,7 +346,7 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
         "max_angle_residual": max_ang_res,
         "residual_tolerance": 20.0 * tm.tol,
     }
-    if args.hausdorff and src.is_cantor and tgt.is_cantor:
+    if args.hausdorff:
         summary["one_sided_hausdorff"] = transported_boundary_distance(
             tm, n_rays=args.hausdorff_rays)
     if "json" in emit:
@@ -351,21 +355,20 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
         curves = []
         for g in (0.25 * g_top, 0.5 * g_top):
             ring = [transport_exterior(tm, z)
-                    for z in _ring_points(tm.source, g, 160)]
+                    for z in _ring_points(src, g, 160)]
             curves.append((ring, "#58a066", True))
         sink.write_text("rectify.svg", render.plane_svg(curves))
 
 
 def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
     _check_count("--samples", args.samples, MAX_SAMPLES)
-    src = GreenSystem.from_c(complex(args.source_c, 0.0))
-    tgt = GreenSystem.from_c(complex(args.target_c, 0.0))
-    vs = _structure_from_args(args)
-    tm = TransportMap(src, tgt, vs)
     n_list = _parse_values("--n-list", args.n_list, int)
+    if min(n_list) < 1:
+        raise InvalidInput(f"--n-list value {min(n_list)} is below 1")
+    tm = _transport_map(args)
     g = args.ring_g if args.ring_g is not None else \
-        (0.5 * critical_potential(src) if src.is_cantor else 0.5)
-    samples = _ring_points(src, g, args.samples)
+        (0.5 * critical_potential(tm.source) if tm.source.is_cantor else 0.5)
+    samples = _ring_points(tm.source, g, args.samples)
     rows = convergence_study(tm, n_list, samples)
     sink.write_csv("converge.csv", ["n", "sup_distance", "dropped_samples"],
                    [(r.n, r.sup_distance, r.dropped_samples) for r in rows])
@@ -381,10 +384,6 @@ def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
     radii = _parse_values("--radii", args.radii, float)
     z0 = complex(*_parse_values("--z0", args.z0, float, (1, 2)))
     probes = boundary_derivative_probe(cm, z0, radii)
-    sink.write_csv("probe_quotients.csv",
-                   ["radius", "dir_re", "dir_im", "q_re", "q_im"],
-                   [(p.radius, p.direction.real, p.direction.imag,
-                     p.quotient.real, p.quotient.imag) for p in probes])
     cloud = julia_samples(sys_, 14)
     rows = []
     for i in range(args.displacement_points):
@@ -393,6 +392,10 @@ def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
         est = quasihyperbolic_displacement(cm, z, boundary=cloud)
         rows.append((theta, z.real, z.imag, est.integral, est.estimate,
                      est.log_c, int(est.bound_ok())))
+    sink.write_csv("probe_quotients.csv",
+                   ["radius", "dir_re", "dir_im", "q_re", "q_im"],
+                   [(p.radius, p.direction.real, p.direction.imag,
+                     p.quotient.real, p.quotient.imag) for p in probes])
     sink.write_csv("displacement.csv",
                    ["theta", "re", "im", "integral", "estimate", "log_c",
                     "bound_ok"], rows)
@@ -482,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", default="id")
     p.add_argument("--k", default="id")
     p.add_argument("--pair-k", action="store_true", dest="pair_k",
-                   help="use the dyadic-level pairing map for k")
+                   help="use the dyadic-level pairing map as (d, k); not "
+                        "with --structure, or --d or --k other than id")
     p.add_argument("--samples", type=int, default=200,
                    help=f"exterior samples, at most {MAX_SAMPLES}")
     p.add_argument("--emit", default="csv,json",
@@ -490,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hausdorff", action="store_true",
                    help="also measure transported boundary proximity")
     p.add_argument("--hausdorff-rays", type=int, default=2048,
-                   dest="hausdorff_rays")
+                   dest="hausdorff_rays",
+                   help=f"rays of --hausdorff, at most {MAX_SAMPLES}")
     p.set_defaults(func=_cmd_rectify)
 
     p = sub.add_parser("converge", help="Lipschitz approximation study")
@@ -523,6 +528,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InvalidInput(f"--seed {args.seed} is below 0")
         cfg = _read_config(args.config)
         sink = ArtifactSink(Path(args.output_dir))
         args.func(args, cfg, sink)

@@ -93,8 +93,8 @@ class GreenSystem:
             raise NonFinite("parameter c must be finite")
         if self.max_iter < 1:
             raise InvalidInput("max_iter must be >= 1")
-        if not (self.tol > 0):
-            raise InvalidInput("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidInput("tol must be finite and positive")
         put = partial(object.__setattr__, self)
         put("c", c)
         put("escape_radius", max(2.0 + abs(c), 3.0))
@@ -421,9 +421,15 @@ def _ray_angle(sys: GreenSystem, theta, targets: list[float],
 
     A critical access angle raises RayCrash when a target sits at its crash
     potential, or lies below it with `crash_side` None; below it otherwise
-    the angle moves to the one-sided limit on `crash_side` (+1 ccw).
+    the angle moves to the one-sided limit on `crash_side` (+1 ccw).  A NaN
+    or infinite angle raises InvalidInput.
     """
-    t = ang.frac1(theta) if isinstance(theta, Fraction) else float(theta) % 1.0
+    if isinstance(theta, Fraction):
+        t = ang.frac1(theta)
+    elif math.isfinite(theta):
+        t = float(theta) % 1.0
+    else:
+        raise InvalidInput(f"angle {theta} is not finite")
     p, q = t.as_integer_ratio()
     level = _crash_level(sys, p, q)
     if level is None:
@@ -556,8 +562,8 @@ def trace_ray(sys: GreenSystem, angle, g_lo: float, g_hi: float,
     ratio = (g_lo / g_hi) ** (1.0 / (n_samples - 1))
     pots = [g_hi * ratio ** i for i in range(n_samples)]
     pots[-1] = g_lo
+    pts = _descend(sys, [angle], pots, crash_side=None)[:, 0].tolist()
     th = angle if isinstance(angle, Fraction) else Fraction(float(angle) % 1.0)
-    pts = _descend(sys, [th], pots, crash_side=None)[:, 0].tolist()
     a = float(ang.frac1(th))
     return [RayPoint(p, g, a) for p, g in zip(pts, pots)]
 

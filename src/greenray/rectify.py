@@ -85,10 +85,16 @@ def _to_target(tm: TransportMap, gc: GreenCoordinate) -> complex:
 
 def transport_residuals(tm: TransportMap, z: complex) -> tuple[float, float]:
     """Defining-equation residuals (|potential|, angle distance) at z."""
+    return _transport_and_residuals(tm, z)[1:]
+
+
+def _transport_and_residuals(tm: TransportMap,
+                             z: complex) -> tuple[complex, float, float]:
+    """`transport_exterior` and `transport_residuals` from one transport."""
     gc = log_bottcher(tm.source, z)
     w = _to_target(tm, gc)
     gcw = log_bottcher(tm.target, w)
-    return (abs(gcw.potential - tm.vs.k(gc.potential)),
+    return (w, abs(gcw.potential - tm.vs.k(gc.potential)),
             circ_dist(gcw.angle, tm.vs.d(gc.angle) % 1.0))
 
 
@@ -176,26 +182,27 @@ class DisplacementEstimate(NamedTuple):
     potential: float
     potential_image: float
 
-    def bound_ok(self, slack: float = 0.1) -> bool:
-        return self.estimate / 2.0 <= self.log_c + slack
+    def bound_ok(self) -> bool:
+        """estimate/2 <= log C + 0.1, the 0.1 a fixed sampling slack."""
+        return self.estimate / 2.0 <= self.log_c + 0.1
 
 
 def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
-                                 boundary: np.ndarray | None = None,
-                                 julia_depth: int = 14,
-                                 n_steps: int = 160) -> DisplacementEstimate:
+                                 boundary: np.ndarray | None = None
+                                 ) -> DisplacementEstimate:
     """Quasihyperbolic length of the ray segment joining z to l(z).
 
-    Integrates |dz|/delta(z) along the external ray between the potentials
-    G(z) and k(G(z)), with delta the distance to an inverse-iteration sample
-    cloud of the Julia set.  With the hyperbolic density lambda of metric
-    2|dv|/(1 - |v|^2), the Schwarz lemma and Koebe's 1/4 theorem give only
-    1/(2 delta) <= lambda <= 2/delta, so along the ray (a hyperbolic
-    geodesic for connected K_c) d_P/2 <= integral <= 2 d_P for the exact
-    delta and d_P = d_P(l(z), z): `estimate` = 2 integral lies between d_P
-    and 4 d_P.  A cloud inside J overestimates delta and so lowers the
-    integral.  `bound_ok` compares estimate/2 with log C plus a sampling
-    slack, a heuristic check.
+    Integrates |dz|/delta(z) by the midpoint rule over 160 geometric steps
+    along the external ray between the potentials G(z) and k(G(z)), with
+    delta the distance to `boundary`, an inverse-iteration sample cloud of
+    the Julia set (by default `julia_samples` at depth 14).  With the
+    hyperbolic density lambda of metric 2|dv|/(1 - |v|^2), the Schwarz
+    lemma and Koebe's 1/4 theorem give only 1/(2 delta) <= lambda <=
+    2/delta, so along the ray (a hyperbolic geodesic for connected K_c)
+    d_P/2 <= integral <= 2 d_P for the exact delta and d_P = d_P(l(z), z):
+    `estimate` = 2 integral lies between d_P and 4 d_P.  A cloud inside J
+    overestimates delta and so lowers the integral.  `bound_ok` compares
+    estimate/2 with log C plus a sampling slack of 0.1, a heuristic check.
 
     delta is the exact distance to the nearest point of the whole cloud.
     The KD-tree behind it holds only the cloud points in the bounding box
@@ -207,9 +214,9 @@ def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
     if g_a == g_b:
         return DisplacementEstimate(0.0, 0.0, cm.log_bilipschitz, g_a, g_b)
     lo, hi = min(g_a, g_b), max(g_a, g_b)
-    pts = [p.point for p in trace_ray(cm.system, gc.angle, lo, hi, n_steps + 1)]
+    pts = [p.point for p in trace_ray(cm.system, gc.angle, lo, hi, 161)]
     if boundary is None:
-        boundary = julia_samples(cm.system, julia_depth)
+        boundary = julia_samples(cm.system, 14)
     arr = np.asarray(pts)
     mids = 0.5 * (arr[1:] + arr[:-1])
     deltas = _cloud_distances(boundary, mids)
@@ -226,21 +233,23 @@ class ProbeSample(NamedTuple):
 
 
 def boundary_derivative_probe(cm: ContinuumMap, z0: complex,
-                              radii: Sequence[float],
-                              n_directions: int = 8) -> list[ProbeSample]:
+                              radii: Sequence[float]) -> list[ProbeSample]:
     """Difference quotients of l at a Julia boundary point.
 
-    Probes h = r e^(i phi) over the radii and directions, skipping
-    directions that land inside the Julia set; reports raw quotients,
-    interpretation is left to the caller.
+    Probes h = r e^(i phi) over the radii and the 8 directions
+    phi = 2 pi j / 8, skipping directions that land inside the Julia set;
+    reports raw quotients, interpretation is left to the caller.  Radii
+    must be finite, positive and strictly decreasing (InvalidInput).
     """
     radii = list(radii)
+    if not all(0.0 < r < math.inf for r in radii):
+        raise InvalidInput("radii must be finite and positive")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise InvalidInput("radii must be strictly decreasing")
     out: list[ProbeSample] = []
     for r in radii:
-        for j in range(n_directions):
-            direction = cmath.exp(2j * math.pi * j / n_directions)
+        for j in range(8):
+            direction = cmath.exp(2j * math.pi * j / 8)
             h = r * direction
             try:
                 w = continuum_map(cm, z0 + h)
@@ -326,19 +335,19 @@ def _transport_all(tm: TransportMap,
 # ---------------------------------------------------------------------------
 
 def transported_boundary_distance(tm: TransportMap, n_rays: int = 4096,
-                                  potential_factor: float = 1e-4,
                                   julia_depth: int = 16) -> float:
     """One-sided Hausdorff distance from transported deep ray endpoints of
     the source to a Julia sample cloud of the target.
 
-    Ray endpoints are taken at potential_factor * G_src(0) on an angle grid
-    offset away from all dyadic access angles; they approximate the
-    continuous extension of the transport to the Julia set.
+    Ray endpoints are taken at 1e-4 * G_src(0) on an angle grid offset away
+    from all dyadic access angles; they approximate the continuous
+    extension of the transport to the Julia set.  A connected source has
+    no G_src(0) and raises Connected.
     """
     if n_rays < 1:
         raise InvalidInput(f"n_rays must be >= 1, got {n_rays}")
     src, tgt = tm.source, tm.target
-    g_end = potential_factor * critical_potential(src)
+    g_end = 1e-4 * critical_potential(src)
     offset = 1.0 / 9973.0
     thetas = (np.arange(n_rays) + 0.5) / n_rays + offset
     d = tm.vs.d

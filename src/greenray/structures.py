@@ -141,6 +141,8 @@ class PotentialHomeo:
             raise InvalidInput("need at least two breakpoints")
         xs = tuple(x for x, _ in bps)
         ys = tuple(y for _, y in bps)
+        if not all(map(math.isfinite, xs + ys)):
+            raise InvalidInput("k breakpoints must be finite")
         if xs[0] != 0.0 or ys[0] != 0.0:
             raise InvalidInput("k(0) = 0 is required")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)) or \

@@ -2,16 +2,22 @@ import json
 from fractions import Fraction
 from hashlib import sha256
 
+import numpy as np
 import pytest
 
 import greenray.cli
 import greenray.rectify
 import greenray.structures
+from greenray.angles import circ_dist
 from greenray.cli import main
 from greenray.potential import (GreenSystem, critical_potential, escape_green,
-                                julia_samples)
+                                invert_green_coords, julia_samples,
+                                log_bottcher)
+from greenray.rectify import (TransportMap, build_quadratic_pair,
+                              transport_exterior, transport_residuals,
+                              transported_boundary_distance)
 from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
-                                 serialize_structure)
+                                 deserialize_structure, serialize_structure)
 from greenray.tree import deserialize_tree
 
 
@@ -151,9 +157,10 @@ def test_tree_caps_reject_before_work(tmp_path, capsys, monkeypatch, flag,
                 *(str(a) for kv in args.items() for a in kv)])
     assert code == 1
     err = capsys.readouterr().err
-    reason = "exceeds the cap" if value > 0 else \
-        f"is below {1 if flag == '--depth' else 0}"
-    assert err.startswith(f"error: InvalidInput: {flag} {value} {reason}")
+    low, cap = (1, greenray.cli.MAX_TREE_DEPTH) if flag == "--depth" else \
+        (0, greenray.cli.MAX_SKELETON_DEPTH)
+    assert err.startswith(f"error: InvalidInput: {flag} {value} is outside "
+                          f"[{low}, {cap}]")
     assert list(out.iterdir()) == []
 
 
@@ -345,7 +352,8 @@ def test_rectify_without_hausdorff_rays_writes_nothing(tmp_path, capsys):
                 "--target-c=-5", "--samples", "2", "--hausdorff",
                 "--hausdorff-rays", "0"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: InvalidInput: --hausdorff-rays 0 is below 1")
+    assert err.startswith("error: InvalidInput: --hausdorff-rays 0 is outside "
+                          f"[1, {greenray.cli.MAX_SAMPLES}]")
     assert list(out.iterdir()) == []
 
 
@@ -429,3 +437,155 @@ def test_converge_csv_pinned(tmp_path, structure, digest):
                 "--n-list", "1,2,4,8,16,32,64"]) == 0
     assert sha256((out / "converge.csv").read_bytes()).hexdigest() == digest
 
+
+def assert_rejected(code, capsys, name, out):
+    """Exit 1, one `error: <name>:` line, and no file written."""
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name}:"), err
+    assert not out.exists() or list(out.iterdir()) == []
+    return err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ray", "--c", "-1", "--angle", "nan", "--g-lo", "0.1", "--g-hi", "1"],
+    ["ray", "--c", "-1", "--angle", "inf", "--g-lo", "0.1", "--g-hi", "1"],
+    ["probe", "--c", "-1", "--z0", "0.3,0.6", "--radii", "0",
+     "--displacement-points", "1"],
+    ["probe", "--c", "-1", "--z0", "0.3,0.6", "--radii=-0.1",
+     "--displacement-points", "1"],
+    ["--seed", "-1", "rectify", "--source-c=-3", "--target-c=-5",
+     "--samples", "2"],
+], ids=["angle_nan", "angle_inf", "radius_0", "radius_negative",
+        "seed_negative"])
+def test_bad_values_end_in_invalid_input(tmp_path, capsys, argv):
+    # each ended in a traceback, or (radius -0.1) wrote rows with exit 0
+    out = tmp_path / "x"
+    assert_rejected(run(["--output-dir", out, *argv]), capsys, "InvalidInput",
+                    out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tree", "--c", "-3", "--depth", "3", "--m0", "0"], "--m0"),
+    (["tree", "--c", "-3", "--depth", "3", "--m0", "-1"], "--m0"),
+    (["tree", "--c", "-3", "--depth", "3", "--m0=-inf"], "--m0"),
+    (["tree", "--c", "-3", "--depth", "3", "--m0", "nan"], "--m0"),
+    (["converge", "--source-c=-3", "--target-c=-5", "--n-list", "1,0"],
+     "--n-list"),
+    (["rectify", "--source-c=-3", "--target-c=-5", "--hausdorff",
+      "--hausdorff-rays", greenray.cli.MAX_SAMPLES + 1], "--hausdorff-rays"),
+], ids=["m0_zero", "m0_negative", "m0_minus_inf", "m0_nan", "n_list_zero",
+        "hausdorff_rays_cap"])
+def test_late_values_reject_before_work(tmp_path, capsys, monkeypatch, argv,
+                                        flag):
+    # tree --m0 left tree.json behind; --n-list 0 failed after the
+    # transports; --hausdorff-rays had no cap
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    for name in ("_build_system", "build_quadratic_pair", "TransportMap",
+                 "convergence_study", "transported_boundary_distance"):
+        monkeypatch.setattr(greenray.cli, name, no_work)
+    out = tmp_path / "x"
+    err = assert_rejected(run(["--output-dir", out, *argv]), capsys,
+                          "InvalidInput", out)
+    assert err.startswith(f"error: InvalidInput: {flag} ")
+
+
+def test_rectify_hausdorff_connected_target(tmp_path):
+    # the key was left out without a word when either side was connected
+    out = tmp_path / "r"
+    assert run(["--output-dir", out, "rectify", "--source-c=-3",
+                "--target-c=-1", "--samples", "2", "--hausdorff",
+                "--hausdorff-rays", "64"]) == 0
+    summary = json.loads((out / "rectify_summary.json").read_text())
+    tm = TransportMap(GreenSystem.from_c(-3.0), GreenSystem.from_c(-1.0),
+                      VirtualStructure.identity())
+    assert summary["one_sided_hausdorff"] == \
+        transported_boundary_distance(tm, n_rays=64)
+
+
+def test_rectify_hausdorff_connected_source(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(greenray.cli, "invert_green_coords", no_work)
+    monkeypatch.setattr(greenray.cli, "transported_boundary_distance",
+                        no_work)
+    out = tmp_path / "x"
+    assert_rejected(run(["--output-dir", out, "rectify", "--source-c=-1",
+                         "--target-c=-3", "--samples", "2", "--hausdorff"]),
+                    capsys, "Connected", out)
+
+
+@pytest.mark.parametrize("extra", [["--k", "scale:2"], ["--d", "st.json"],
+                                   ["--structure", "st.json"]],
+                         ids=["k", "d", "structure"])
+def test_rectify_pair_k_refuses_structure(tmp_path, capsys, monkeypatch,
+                                          extra):
+    # --structure, --d and --k were dropped without a word under --pair-k
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    for name in ("build_quadratic_pair", "TransportMap", "_parse_k",
+                 "_parse_d", "deserialize_structure"):
+        monkeypatch.setattr(greenray.cli, name, no_work)
+    out = tmp_path / "x"
+    err = assert_rejected(
+        run(["--output-dir", out, "rectify", "--source-c=-3",
+             "--target-c=-5", "--pair-k", "--samples", "2", *extra]),
+        capsys, "ConfigError", out)
+    assert "--pair-k" in err
+
+
+def _parent_rectify_rows(tm, seed, samples):
+    """`rectify_residuals.csv` as one `invert_green_coords`,
+    `transport_exterior` and `transport_residuals` per sample make it; the
+    residuals are taken from the charts as `transport_residuals` once took
+    them, and `transport_residuals` must agree."""
+    rng = np.random.default_rng(seed)
+    g_top = critical_potential(tm.source)
+    lines = ["theta,g,z_re,z_im,w_re,w_im,potential_residual,angle_residual"]
+    for _ in range(samples):
+        theta = float(rng.random())
+        g = float(g_top * (0.2 + 1.3 * rng.random()))
+        z = invert_green_coords(tm.source, (theta, g))
+        w = transport_exterior(tm, z)
+        gc, gcw = log_bottcher(tm.source, z), log_bottcher(tm.target, w)
+        pr = abs(gcw.potential - tm.vs.k(gc.potential))
+        ar = circ_dist(gcw.angle, tm.vs.d(gc.angle) % 1.0)
+        assert transport_residuals(tm, z) == (pr, ar)
+        lines.append(",".join(map(repr, (theta, g, z.real, z.imag, w.real,
+                                         w.imag, pr, ar))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("pair_k", [True, False], ids=["pair_k", "structure"])
+def test_rectify_rows_equal_per_sample_transport(tmp_path, pair_k):
+    st = tmp_path / "st.json"
+    st.write_text(serialize_structure(_flat_structure()))
+    if pair_k:
+        extra, tm = ["--pair-k"], build_quadratic_pair(-3.0, -5.0)
+    else:
+        extra = ["--structure", st]
+        tm = TransportMap(GreenSystem.from_c(-3.0), GreenSystem.from_c(-5.0),
+                          deserialize_structure(st.read_text()))
+    out = tmp_path / "r"
+    assert run(["--output-dir", out, "--seed", "7", "rectify",
+                "--source-c=-3", "--target-c=-5", "--samples", "16",
+                *extra]) == 0
+    assert (out / "rectify_residuals.csv").read_text() == \
+        _parent_rectify_rows(tm, 7, 16)
+
+
+def test_rectify_pair_k_work_per_sample(tmp_path, monkeypatch):
+    counts = {"systems": 0, "charts": 0, "target descents": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GreenSystem, "__post_init__",
+                        counted("systems", GreenSystem.__post_init__))
+    for key, name in (("charts", "log_bottcher"),
+                      ("target descents", "invert_green_coords")):
+        monkeypatch.setattr(greenray.rectify, name,
+                            counted(key, getattr(greenray.rectify, name)))
+    assert run(["--output-dir", tmp_path / "r", "rectify", "--source-c=-3",
+                "--target-c=-5", "--pair-k", "--samples", "5"]) == 0
+    assert counts == {"systems": 2, "charts": 10, "target descents": 5}

@@ -411,6 +411,26 @@ def test_trace_ray_validation(sys_m3):
         trace_ray(sys_m3, 0.1, 0.5, 1.0, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_angle_is_invalid_input(sys_m3, bad):
+    # each ended in a bare ValueError from float.as_integer_ratio
+    with pytest.raises(InvalidInput, match="is not finite"):
+        invert_green_coords(sys_m3, (bad, 0.1))
+    with pytest.raises(InvalidInput, match="is not finite"):
+        descend_rays_bulk(sys_m3, [0.1, bad], 0.1)
+    with pytest.raises(InvalidInput, match="is not finite"):
+        trace_ray(sys_m3, bad, 0.1, 1.0, 4)
+
+
+@pytest.mark.parametrize("angle", [0.1, -0.3, 1.7, 2.0 ** -60, -2.0 ** -60])
+def test_trace_ray_float_angle_as_fraction(sys_m3, angle):
+    # a float angle descends as the exact rational it is; just below 0 it
+    # reduces to 1.0, and the reported angle is 0.0
+    as_float = trace_ray(sys_m3, angle, 0.05, 1.0, 9)
+    as_fraction = trace_ray(sys_m3, Fraction(angle % 1.0), 0.05, 1.0, 9)
+    assert as_float == as_fraction
+
+
 # ---------------------------------------------------------------------------
 # batched ray descent: the checks of the single-ray path hold ray by ray
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_displacement_disk_closed_form(sys_0):
     est = quasihyperbolic_displacement(cm, complex(r), boundary=circle)
     closed = math.log((r ** lam - 1.0) / (r - 1.0))
     assert abs(est.integral - closed) <= 1e-3
-    assert est.bound_ok(0.1)
+    assert est.bound_ok()
     assert est.log_c == pytest.approx(math.log(lam))
 
 
@@ -400,6 +400,20 @@ def test_probe_requires_decreasing_radii(sys_0):
     cm = ContinuumMap(sys_0, PotentialHomeo.identity())
     with pytest.raises(ValueError):
         boundary_derivative_probe(cm, 1.0, [1e-3, 1e-2])
+
+
+@pytest.mark.parametrize("radii", [[0.0], [-0.1], [0.1, 0.0], [math.nan],
+                                   [math.inf, 0.1]])
+def test_probe_rejects_radius_not_finite_positive(sys_m1, monkeypatch,
+                                                   radii):
+    # radius 0 ended in ZeroDivisionError; -0.1 wrote rows of radius -0.1
+    def no_work(*args):
+        raise AssertionError("a rejected probe started")
+
+    monkeypatch.setattr(greenray.rectify, "continuum_map", no_work)
+    cm = ContinuumMap(sys_m1, PotentialHomeo.scaling(1.5))
+    with pytest.raises(InvalidInput, match="finite and positive"):
+        boundary_derivative_probe(cm, 0.3 + 0.6j, radii)
 
 
 def test_probe_tangential_approaches_one_radial_recorded(sys_0):
