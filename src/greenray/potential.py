@@ -448,6 +448,31 @@ def _ray_angle(sys: GreenSystem, theta, targets: list[float],
     return ang.frac1(t).as_integer_ratio()
 
 
+def _angle_table(pq: list[tuple[int, int]], top: int):
+    """Angles t_j = frac(2^j p/q), correctly rounded, and the flags t_j in
+    (0, 1/2) and t_j in (1/4, 3/4): arrays by level j = 0..top and ray.
+
+    When every q is a power of two and p < 2^53, each t = p/q is a double,
+    and so is every t_j: scaling by 2^j is exact until it overflows, and
+    so is `% 1.0`.  Then one broadcast of `np.ldexp(t, j) % 1.0` gives the
+    whole table; past level 1000, where 2^j t could overflow, it goes on
+    from t_1000 (t_j = frac(2^(j-1000) t_1000)).  Any other p/q takes the
+    integer rule r = (p << j) % q, with t_j = r/q and the flags tested on
+    the integers: the two rules agree wherever both apply.
+    """
+    if all(p < 2 ** 53 and not q & (q - 1) and q.bit_length() <= 1075
+           for p, q in pq):
+        j = np.arange(top + 1)[:, None]
+        t = np.ldexp([p / q for p, q in pq], np.minimum(j, 1000)) % 1.0
+        if top > 1000:
+            t[1001:] = np.ldexp(t[1000], j[1001:] - 1000) % 1.0
+        return t, (0.0 < t) & (t < 0.5), (0.25 < t) & (t < 0.75)
+    r = [[((p << j) % q, q) for p, q in pq] for j in range(top + 1)]
+    return (np.array([[a / q for a, q in row] for row in r]),
+            np.array([[0 < 2 * a < q for a, q in row] for row in r]),
+            np.array([[q < 4 * a < 3 * q for a, q in row] for row in r]))
+
+
 def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
              crash_side: int | None) -> np.ndarray:
     """Points on many external rays at common non-increasing potentials.
@@ -455,9 +480,9 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
     Inverse iteration: the point at target g starts from its far point at
     the least level L with 2^L g >= G_FAR and takes L square roots.  At
     level j the root s = sqrt(w - c) or -s is kept by `_same_side` with the
-    exact angle t_j = frac(2^j p/q): for real c the half-plane rule, with
-    t_j tested on the integers (p << j) % q; for other c the principal
-    argument, which raises AngleUnresolved where some |c/w_j^2| >= 1/2.
+    exact angle t_j = frac(2^j p/q) (`_angle_table`): for real c the
+    half-plane rule; for other c the principal argument, which raises
+    AngleUnresolved where some |c/w_j^2| >= 1/2.
     `thetas` are Fractions or floats; the crash rule is `_ray_angle`'s, and
     RayCrash is also raised where some |w - c| <= 1e-12 max(1, |c|), a
     pass through a precritical point.  An empty target list, and targets
@@ -483,10 +508,8 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
         while math.ldexp(g, top) < G_FAR:
             top += 1
         ell.append(top)
-    # frac(2^L theta), correctly rounded, by target and ray
-    far_t = {n: [((p << n) % q) / q for p, q in pq] for n in set(ell)}
-    w = _far_points(sys, np.array([far_t[n] for n in ell]),
-                    np.ldexp(targets, ell)[:, None])
+    t, upper, left = _angle_table(pq, top)
+    w = _far_points(sys, t[ell], np.ldexp(targets, ell)[:, None])
 
     c, real = sys.c, sys.is_real
     guard = 1e-12 * max(1.0, abs(c))
@@ -500,14 +523,10 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
             hits += [(i, e + r, -j) for r, i in zip(*np.nonzero(near <= guard))]
         s = np.sqrt(dz)
         if real:
-            # t_j in (0, 1/2) and in (1/4, 3/4), on t_j = r/q exactly
-            upper, left = np.array(
-                [b for p, q in pq for r in ((p << j) % q,)
-                 for b in (0 < 2 * r < q, q < 4 * r < 3 * q)]).reshape(-1, 2).T
-            keep = _same_side(c, s, None, upper, left)
+            keep = _same_side(c, s, None, upper[j], left[j])
         else:
-            t = [((p << j) % q) / q for p, q in pq]
-            keep = [[_same_side(c, z, tz, None, None) for z, tz in zip(row, t)]
+            keep = [[_same_side(c, z, tz, None, None)
+                     for z, tz in zip(row, t[j].tolist())]
                     for row in s.tolist()]
         w[e:] = np.where(keep, s, -s)
     if hits:
@@ -529,8 +548,15 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
     domain or has no certified truncation (`_far_points`), and InvalidInput
     above potential 300, past the float range of the chart.  Branches follow
     `_descend`'s rule ray by ray, so each point equals the single-ray
-    result bit for bit.
+    result bit for bit.  Angles that are not one sequence of numbers, such
+    as a 2-D array, are InvalidInput before any work.
     """
+    try:
+        shape = np.shape(thetas)
+    except ValueError:              # a ragged nested sequence
+        shape = "(ragged)"
+    if len(shape) != 1:
+        raise InvalidInput(f"angles must be one-dimensional, got shape {shape}")
     return _descend(sys, thetas, [g_target], crash_side=+1)[0]
 
 
@@ -542,7 +568,7 @@ def invert_green_coords(sys: GreenSystem, gc: GreenCoordinate | tuple) -> comple
     exactly at the crash potential RayCrash is raised.
     """
     theta, g = gc
-    return complex(descend_rays_bulk(sys, [theta], g)[0])
+    return complex(_descend(sys, [theta], [g], crash_side=+1)[0, 0])
 
 
 class RayPoint(NamedTuple):

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .angles import circ_dist
 from .errors import (CombinatoricsMismatch, Connected, GreenrayError,
@@ -154,8 +153,11 @@ def _cloud_distances(cloud, pts) -> np.ndarray:
     Exact for the whole cloud, yet the KD-tree holds only the cloud points
     in the bounding box of `pts` widened by R, the largest distance from a
     query to p*, the cloud point nearest the first query.  An empty cloud
-    or one with a non-finite point is InvalidInput.
+    or one with a non-finite point is InvalidInput.  scipy is imported
+    here, on the first query, so that importing greenray does not load it.
     """
+    from scipy.spatial import cKDTree
+
     cloud = np.ascontiguousarray(cloud, dtype=complex).ravel()
     pts = np.ascontiguousarray(pts, dtype=complex).ravel()
     if cloud.size == 0:

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and importing the package loads no scipy.
 
 Stdlib `ast` stands in for a linter: a name bound by `import` or
 `from ... import` counts as used when the module reads it as a name
@@ -6,6 +7,10 @@ Stdlib `ast` stands in for a linter: a name bound by `import` or
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,33 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# Run in a fresh interpreter: the modules loaded after `import greenray`,
+# `import greenray.cli` and one CLI `tree` run, then whether one
+# nearest-distance query (a displacement) works and loads scipy.spatial.
+_STARTUP = """
+import json, sys
+import greenray, greenray.cli
+from greenray import (ContinuumMap, GreenSystem, PotentialHomeo,
+                      quasihyperbolic_displacement)
+code = greenray.cli.main(["--output-dir", sys.argv[1], "tree", "--c", "-3",
+                          "--depth", "4"])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+cm = ContinuumMap(GreenSystem.from_c(-1.0), PotentialHomeo.scaling(1.5))
+est = quasihyperbolic_displacement(cm, 1.2 + 0.7j)
+print(json.dumps([code, loaded, est.estimate > 0.0,
+                  "scipy.spatial" in sys.modules]))
+"""
+
+
+def test_startup_loads_no_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _STARTUP, str(tmp_path)],
+                         capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    code, loaded, displaced, spatial = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0 and (tmp_path / "tree.json").exists()
+    assert loaded == []
+    assert displaced and spatial

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 from typing import Sequence
@@ -13,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenray.potential
-from greenray.angles import circ_dist
+from greenray.angles import circ_dist, frac1
 from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
                              InsideK, InvalidInput, NonFinite, OnSkeleton,
                              RayCrash)
 from greenray.potential import (G_FAR, MAX_JULIA_DEPTH, GreenSystem,
-                                _crash_level, _descend, _far_points,
-                                _ray_angle,
+                                _angle_table, _crash_level, _descend,
+                                _far_points, _ray_angle,
                                 critical_potential, descend_rays_bulk,
                                 escape_green, escape_green_bulk,
                                 invert_green_coords,
@@ -449,6 +450,38 @@ def test_bulk_one_sided_limit_below_crash(sys_m3):
     assert z == invert_green_coords(sys_m3, (Fraction(1, 4), g0 / 4.0))
     # the counterclockwise limit runs along the upper side of the real gap
     assert abs(z.real + 0.8158) <= 1e-4 and 0.0 < z.imag < 1e-6
+
+
+@pytest.mark.parametrize("kind", [float, Fraction])
+@pytest.mark.parametrize("angle, level", [
+    (Fraction(1, 4), 0), (Fraction(3, 4), 0),
+    (Fraction(1, 8), 1), (Fraction(3, 8), 1)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_crash_window_is_tol_wide(sys_m3, kind, angle, level, side):
+    # within tol of its crash potential an access ray crashes, above it as
+    # well as below, where the one-sided limit would be taken
+    gp = critical_potential(sys_m3) / 2 ** level
+    with pytest.raises(RayCrash) as exc:
+        invert_green_coords(sys_m3, (kind(angle), gp + side * sys_m3.tol / 2))
+    assert exc.value.level == level
+    assert exc.value.crash_potential == gp
+
+
+@pytest.mark.parametrize("thetas, shape", [
+    (np.array([[0.1, 0.2], [0.3, 0.4]]), "(2, 2)"),
+    (np.array([[]]), "(1, 0)"),
+    ([[0.1, 0.2], [0.3]], "(ragged)"),
+    (0.1, "()"),
+    (np.array(0.1), "()")])
+def test_bulk_rejects_angles_not_one_dimensional(sys_m3, thetas, shape):
+    # a 2-D array ended in numpy's TypeError from the first row
+    with pytest.raises(InvalidInput, match=re.escape(f"got shape {shape}")):
+        descend_rays_bulk(sys_m3, thetas, 0.5)
+
+
+def test_bulk_empty_angles_keep_shape(sys_m3):
+    for empty in ([], (), np.array([]), np.array([], dtype=object)):
+        assert descend_rays_bulk(sys_m3, empty, 0.5).shape == (0,)
 
 
 def test_bulk_series_domain():
@@ -908,6 +941,110 @@ def test_descent_rejects_empty_targets(sys_m3):
     with pytest.raises(InvalidInput):
         _descend(sys_m3, [0.1], [], 1)
     assert descend_rays_bulk(sys_m3, [], 0.3).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the angle table: float arithmetic on dyadic angles, integers otherwise
+# ---------------------------------------------------------------------------
+
+def _doubling_table(pq, top):
+    """`_angle_table` by exact rational doubling, one entry at a time."""
+    t = [[Fraction(p, q) * 2 ** j % 1 for p, q in pq] for j in range(top + 1)]
+    return (np.array([[float(x) for x in row] for row in t]),
+            np.array([[0 < x < Fraction(1, 2) for x in row] for row in t]),
+            np.array([[Fraction(1, 4) < x < Fraction(3, 4) for x in row]
+                      for row in t]))
+
+
+_TABLE_ANGLES = [0.0, 5e-324, 3 * 2.0 ** -1074, 2.0 ** -1022, 2.0 ** -60,
+                 0.5, 0.25 + 2.0 ** -54, 1.0 - 2.0 ** -53, 1.0 / 3.0, 0.1,
+                 Fraction(3, 2 ** 70), Fraction(2 ** 53 - 1, 2 ** 53)]
+
+
+@pytest.mark.parametrize("extra", [
+    [],                                         # all dyadic: the float table
+    [Fraction(1, 3)],                           # not dyadic: integers
+    [Fraction(2 ** 60 - 1, 2 ** 60)],           # p >= 2^53: integers
+    [Fraction(1, 2 ** 1100)]])                  # below 2^-1074: integers
+def test_angle_table_matches_exact_doubling_bit_equal(extra):
+    # 1080 levels, past 1024, where 2^j t overflows a double for t >= 1/2
+    rng = np.random.default_rng(17)
+    pq = [frac1(Fraction(x)).as_integer_ratio()
+          for x in _TABLE_ANGLES + rng.random(8).tolist() + extra]
+    got, want = _angle_table(pq, 1080), _doubling_table(pq, 1080)
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def test_deep_descent_past_ldexp_overflow_bit_equal(sys_m1):
+    # at 1e-310 the descent starts about 1030 levels up, past 2^1024; with a
+    # non-dyadic Fraction in the batch every ray takes the integer rule
+    g = 1e-310
+    assert math.ldexp(g, 1024) < G_FAR
+    thetas = [x for x in _TABLE_ANGLES if isinstance(x, float)] + [0.3, 0.7]
+    table = descend_rays_bulk(sys_m1, thetas, g)
+    integer = descend_rays_bulk(sys_m1, thetas + [Fraction(1, 3)], g)
+    assert np.isfinite(table).all()
+    assert np.array_equal(table.view(np.int64),
+                          integer[:len(thetas)].copy().view(np.int64))
+
+
+# float angles the table must take exactly: dyadic grid points, the
+# neighbours of 0 and 1, and any float in [-1, 2)
+_FLOAT_ANGLE = (
+    st.floats(min_value=-1.0, max_value=2.0, exclude_max=True)
+    | st.builds(lambda k, m: k / 2 ** m, st.integers(0, 2 ** 12),
+                st.integers(0, 12))
+    | st.sampled_from([0.0, -0.0, 2.0 ** -60, -2.0 ** -60, 2.0 ** -1074,
+                       -2.0 ** -1074, 1.0 - 2.0 ** -53, 0.5 - 2.0 ** -54]))
+
+
+@pytest.mark.parametrize("c", [-5.0, -3.0, -1.0, 0.0])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_float_and_fraction_angles_bit_equal(c, data):
+    # a float angle x is the rational x % 1.0 (a float just below 0 is 0)
+    sys_ = GreenSystem.from_c(c)
+    xs = data.draw(st.lists(_FLOAT_ANGLE, min_size=1, max_size=8), label="xs")
+    mask = data.draw(st.lists(st.booleans(), min_size=len(xs),
+                              max_size=len(xs)), label="mask")
+    _, targets, side = data.draw(_descent_case(sys_._g0), label="targets")
+    fractions = [Fraction(x % 1.0) for x in xs]
+    mixed = [f if m else x for x, f, m in zip(xs, fractions, mask)]
+    ref = _descent_outcome(_descend, sys_, xs, targets, side)
+    assert _descent_outcome(_descend, sys_, fractions, targets, side) == ref
+    assert _descent_outcome(_descend, sys_, mixed, targets, side) == ref
+    # a non-dyadic Fraction sends the whole batch to the integer rule
+    first = lambda *args: np.ascontiguousarray(_descend(*args)[:, :len(xs)])
+    assert _descent_outcome(first, sys_, mixed + [Fraction(1, 3)], targets,
+                            side) == ref
+
+
+@pytest.mark.parametrize("c", [-5.0, -3.0, -1.0, 0.0])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_batch_is_its_rays_one_by_one_bit_equal(c, data):
+    sys_ = GreenSystem.from_c(c)
+    thetas, targets, side = data.draw(_descent_case(sys_._g0))
+    batch = _descent_outcome(_descend, sys_, thetas, targets, side)
+    singles = [_descent_outcome(_descend, sys_, [t], targets, side)
+               for t in thetas]
+    if isinstance(batch[0], type):
+        # the batch raises one of its rays' errors
+        assert batch in singles
+        return
+    assert not any(isinstance(one[0], type) for one in singles)
+    assert np.array_equal(np.array(batch[1]), np.concatenate(
+        [np.array(one[1]) for one in singles], axis=1))
+
+
+def test_boundary_descent_pinned_bit_equal(sys_m5):
+    # sha256 of the 4096-ray descent of `transported_boundary_distance` on
+    # c = -5 (identity structure), recorded before the angle table
+    thetas = (np.arange(4096) + 0.5) / 4096 + 1.0 / 9973.0
+    w = descend_rays_bulk(sys_m5, thetas, 1e-4 * critical_potential(sys_m5))
+    assert hashlib.sha256(w.tobytes()).hexdigest() == (
+        "bf1e4327cd82ed887f7361106f042937f4d9cbe7ab9bd7687fba073a9c55733f")
 
 
 # ---------------------------------------------------------------------------
