@@ -16,7 +16,10 @@ Conventions:
   * a cell of the window tree has an address of bits: for theta in the
     cell, bit k names the level-1 arc holding 2^(k-1) theta (arc 0 holds
     angle 0, the beta fixed point), so doubling maps cell (b,) + s onto
-    cell s.
+    cell s;
+  * an annulus's window is glued at its seam, the entering access of its
+    outer pair; :func:`cylinder_positions` (tree invariants, collapses) and
+    its inverse :func:`cylinder_angles` (equipotentials) walk from there.
 """
 
 from __future__ import annotations
@@ -82,58 +85,73 @@ def window_contains(window: Window, theta: Number, closed: bool = False) -> bool
     return False
 
 
-def _cyclic_pieces_from(window: Window, start: Number) -> list[Piece]:
-    """Pieces in ccw order starting with the piece whose left endpoint is `start`."""
-    idx = None
-    for i, (lo, _) in enumerate(window):
-        if lo == start:
-            idx = i
-            break
-    if idx is None:
-        raise InvalidInput("start is not a left endpoint of the window")
-    return list(window[idx:]) + list(window[:idx])
-
-
 def entering_access(window: Window, pair: tuple[Number, Number]) -> Number:
     """The access of the pair that is a *left* endpoint of a window piece.
 
     Walking counterclockwise through the glued seam of the annulus, the ray
     family exits the window at one access and re-enters at the other; the
-    re-entry access is the canonical origin for cylindrical positions.
+    re-entry access, the seam, is the origin for cylindrical positions.
     """
-    lefts = {lo for lo, _ in window}
+    return _from_seam(window, pair)[0][0]
+
+
+def _from_seam(window: Window, pair: tuple[Number, Number]) -> list[Piece]:
+    """The window's pieces in ccw order, starting with the one at the seam."""
+    lefts = [lo for lo, _ in window]
     hits = [a for a in pair if a in lefts]
     if len(hits) != 1:
         raise InvalidInput(f"expected exactly one entering access, got {hits}")
-    return hits[0]
+    i = lefts.index(hits[0])
+    return [*window[i:], *window[:i]]
 
 
-def cumulative_position(window: Window, origin: Number, theta: Number) -> Number:
-    """Window measure swept going ccw from `origin` to `theta` inside the window.
+def cylinder_positions(window: Window, pair: tuple[Number, Number],
+                       thetas: Sequence[Number],
+                       measure: Callable[[Number], Number]) -> list[Number]:
+    """The measure swept ccw inside the window from its seam to each theta.
 
-    `origin` must be a left endpoint of a piece; `theta` must lie in the
-    closed window.
+    The seam is the entering access of the outer access pair.  An arc
+    (lo, hi) weighs measure(hi) - measure(lo), summed piece by piece from
+    the seam: the identity gives Lebesgue positions, a circle CDF d gives
+    mu_d positions.  A theta outside the closed window is InvalidInput.
     """
-    acc: Number = 0
-    for lo, hi in _cyclic_pieces_from(window, origin):
-        if lo <= theta <= hi:
-            return acc + (theta - lo)
-        acc = acc + (hi - lo)
-    raise InvalidInput("theta is not inside the window")
+    pieces = _from_seam(window, pair)
+    out = []
+    for theta in thetas:
+        acc: Number = 0
+        for lo, hi in pieces:
+            if lo <= theta <= hi:
+                out.append(acc + (measure(theta) - measure(lo)))
+                break
+            acc += measure(hi) - measure(lo)
+        else:
+            raise InvalidInput(f"angle {theta} is not inside the window")
+    return out
 
 
-def invert_position(window: Window, origin: Number, s: Number) -> Number:
-    """Angle at window-measure position `s` ccw from `origin` (inverse of
-    :func:`cumulative_position`)."""
+def cylinder_angles(window: Window, pair: tuple[Number, Number],
+                    fractions: Sequence[Number]) -> list[Number]:
+    """The angles at the given fractions of the window's Lebesgue measure
+    swept ccw from its seam, the inverse of :func:`cylinder_positions`.
+
+    Fraction 1 is the exit access, glued to the seam; a fraction outside
+    [0, 1] is InvalidInput.
+    """
+    pieces = _from_seam(window, pair)
     total = window_measure(window)
-    if not (0 <= s <= total):
-        raise InvalidInput("position outside window measure")
-    for lo, hi in _cyclic_pieces_from(window, origin):
-        width = hi - lo
-        if s <= width:
-            return lo + s
-        s = s - width
-    return origin  # s == total wraps back to the seam
+    out = []
+    for f in fractions:
+        if not 0 <= f <= 1:
+            raise InvalidInput(f"fraction {f} is outside [0, 1]")
+        s = total * f
+        for lo, hi in pieces:
+            if s <= (width := hi - lo):
+                out.append(lo + s)
+                break
+            s -= width
+        else:
+            out.append(pieces[0][0])    # float rounding past the end: the seam
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from .potential import (G_MAX, GreenSystem, critical_potential,
                         descend_rays_bulk, escape_green_bulk,
                         invert_green_coords, julia_samples,
                         skeleton, trace_equipotential, trace_ray)
-from .rectify import (ContinuumMap, TransportMap, _transport_and_residuals,
-                      boundary_derivative_probe, build_quadratic_pair,
-                      convergence_study, quasihyperbolic_displacement,
-                      transport_exterior, transported_boundary_distance)
+from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
+                      build_quadratic_pair, convergence_study,
+                      quasihyperbolic_displacement, transport_exterior,
+                      transport_with_residuals, transported_boundary_distance)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                          admissible, collapse, deserialize_structure)
 from .tree import (build_quadratic_tree, deserialize_tree, serialize_tree,
@@ -331,7 +331,7 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
         theta = float(rng.random())
         g = float(g_top * (0.2 + 1.3 * rng.random()))
         z = invert_green_coords(src, (theta, g))
-        w, pr, ar = _transport_and_residuals(tm, z)
+        w, pr, ar = transport_with_residuals(tm, z)
         max_pot_res = max(max_pot_res, pr)
         max_ang_res = max(max_ang_res, ar)
         rows.append((theta, g, z.real, z.imag, w.real, w.imag, pr, ar))

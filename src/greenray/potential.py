@@ -291,14 +291,20 @@ def _far_points(sys: GreenSystem, theta: np.ndarray, g: np.ndarray) -> np.ndarra
     psi_c(u) = u * sum_{n<=N} a_n u^(-2n) at u = exp(g + 2 pi i theta), with
     the coefficients and the order N of `sys` (see `GreenSystem`): the
     terms left out sum to under a quarter ulp of the series.  Raises
-    AngleUnresolved where no such N exists or where |c/u^2| > 1/2.
+    AngleUnresolved where no such N exists.
+
+    Where one does, the series is within its domain |c/u^2| < 1/2 (R and q
+    as in `_psi_coefficients`).  For |c| > 2, |w_n| >= |c| on the orbit
+    w_0 = c, w_(n+1) = w_n^2 + c, so G(c) = log|c| + sum_n 2^(-n-1)
+    log|1 + c/w_n^2| >= log(|c| - 1), and G(c) = 2 G(0) <= 2 log R gives
+    |c| e^(-2 G_FAR) <= q + e^(-2 G_FAR).  A certified N <= 48 needs
+    q^49 <= q^(N+1)/(1-q) <= ulp(1)/4 = 2^-54: q < 0.466, so for g >= G_FAR
+    |c| e^(-2g) < 0.467 (and < 0.001 when |c| <= 2).
     """
     a = sys._psi
     if not a:
         raise AngleUnresolved("no certified truncation of the inverse "
                               "Böttcher series for this parameter")
-    if abs(sys.c) * math.exp(-2.0 * float(np.min(g))) > 0.5:
-        raise AngleUnresolved("Böttcher series used below its domain")
     u = np.exp(g + 2j * np.pi * theta)
     r = 1.0 / u
     v = r * r
@@ -544,8 +550,8 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
     Same conventions as `invert_green_coords`, ray by ray: the
     counterclockwise one-sided limit at an exact critical access angle below
     its crash potential, RayCrash at the crash potential or through a
-    precritical point, AngleUnresolved where the Böttcher series leaves its
-    domain or has no certified truncation (`_far_points`), and InvalidInput
+    precritical point, AngleUnresolved where the Böttcher series has no
+    certified truncation (`_far_points`), and InvalidInput
     above potential 300, past the float range of the chart.  Branches follow
     `_descend`'s rule ray by ray, so each point equals the single-ray
     result bit for bit.  Angles that are not one sequence of numbers, such
@@ -622,10 +628,7 @@ def trace_equipotential(sys: GreenSystem, g: float,
     levels = ang.level_windows(sys.critical_value_angle, k)
     curves = []
     for node in levels[k]:
-        origin = ang.entering_access(node.window, node.outer_pair)
-        total = ang.window_measure(node.window)
-        thetas = [Fraction(ang.invert_position(node.window, origin, total * s))
-                  for s in steps]
+        thetas = ang.cylinder_angles(node.window, node.outer_pair, steps)
         curves.append(descend_rays_bulk(sys, thetas, g).tolist())
     return curves
 

@@ -84,12 +84,13 @@ def _to_target(tm: TransportMap, gc: GreenCoordinate) -> complex:
 
 def transport_residuals(tm: TransportMap, z: complex) -> tuple[float, float]:
     """Defining-equation residuals (|potential|, angle distance) at z."""
-    return _transport_and_residuals(tm, z)[1:]
+    return transport_with_residuals(tm, z)[1:]
 
 
-def _transport_and_residuals(tm: TransportMap,
+def transport_with_residuals(tm: TransportMap,
                              z: complex) -> tuple[complex, float, float]:
-    """`transport_exterior` and `transport_residuals` from one transport."""
+    """`transport_exterior` and `transport_residuals` from one transport:
+    (w, potential residual, angle residual)."""
     gc = log_bottcher(tm.source, z)
     w = _to_target(tm, gc)
     gcw = log_bottcher(tm.target, w)

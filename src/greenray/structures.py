@@ -325,61 +325,34 @@ def _d_image(d: CircleCDF, node: TreeNode) -> _NodeImage:
                       _mass(image.__getitem__, pieces))
 
 
-def _entering(view: _NodeImage, pair: tuple[float, float]) -> int:
-    """Index of the piece whose left end is the entering access of the pair.
-
-    :func:`angles.entering_access` on the float view.
-    """
-    lefts = [lo for lo, _ in view.pieces]
-    hits = [a for a in pair if a in lefts]
-    if len(hits) != 1:
-        raise InvalidInput(f"expected exactly one entering access, got {hits}")
-    return lefts.index(hits[0])
-
-
-def _offset(view: _NodeImage, start: int, theta: float,
-            d_theta: float) -> float:
-    """mu_d mass swept ccw inside the window from piece `start` to theta.
-
-    The float-view form of `_cumulative_position_d` in
-    tests/test_structures.py, with the same sums in the same order;
-    d_theta is d(theta).
-    """
-    pieces, d = view.pieces, view.d
-    acc = 0.0
-    for lo, hi in pieces[start:] + pieces[:start]:
-        if lo <= theta <= hi:
-            return acc + (d_theta - d[lo])
-        acc += d[hi] - d[lo]
-    raise InvalidInput("theta is not inside the window")
-
-
 def _chain_positions(chain: list[_NodeImage]) -> tuple[float, float]:
     """Normalized mu_d positions of the bottom inner accesses in the top window.
 
-    Positions are measured from the entering outer access of the top
-    annulus.  A chain of two or more annuli also checks that the per-level
-    summation of link offsets telescopes to the same positions (to 1e-12),
-    the two classical expressions for the merged invariant; for one annulus
-    the two are the same sum.
+    Positions are measured from the seam of the top annulus, by
+    :func:`angles.cylinder_positions` with d read from the float views.  A
+    chain of two or more annuli also checks that the per-level summation
+    of link offsets telescopes to the same positions (to 1e-12), the two
+    classical expressions for the merged invariant; for one annulus the two
+    are the same sum.
     """
     top, bot = chain[0], chain[-1]
-    origin = _entering(top, top.outer)
-    direct = [_offset(top, origin, b, bot.d[b]) for b in bot.inner]
+    # the bottom's accesses are in the top window but not in its d-table
+    image = top.d if len(chain) == 1 else {**top.d, **bot.d}
+    direct = ang.cylinder_positions(top.pieces, top.outer, bot.inner,
+                                    image.__getitem__)
     if len(chain) > 1:
         # summation form: per link, the mu_d offset of the entering access
         # of the next annulus inside the current one; the last link
         # contributes the access offsets themselves
         acc = 0.0
         for cur, nxt in zip(chain, chain[1:]):
-            link = nxt.pieces[_entering(nxt, cur.inner)][0]
-            acc += _offset(cur, _entering(cur, cur.outer), link, cur.d[link])
-        last_origin = _entering(bot, bot.outer)
-        for sd, b in zip(direct, bot.inner):
-            sm = acc + _offset(bot, last_origin, b, bot.d[b])
-            delta = abs((sd - sm) / top.mass % 1.0)
-            delta = min(delta, 1.0 - delta)
-            if delta > 1e-12:
+            link = ang.entering_access(nxt.pieces, cur.inner)
+            acc += ang.cylinder_positions(cur.pieces, cur.outer, (link,),
+                                          cur.d.__getitem__)[0]
+        summed = [acc + p for p in ang.cylinder_positions(
+            bot.pieces, bot.outer, bot.inner, bot.d.__getitem__)]
+        for sd, sm in zip(direct, summed):
+            if ang.circ_dist(sd / top.mass, sm / top.mass) > 1e-12:
                 raise AssertionError(
                     "telescoped and summed angular invariants disagree: "
                     f"{sd / top.mass} vs {sm / top.mass}")

@@ -125,6 +125,7 @@ def _tree_from_levels(grid: int, levels: list[list[ang.GridNode]],
     """
     depth = len(levels) - 1
     view = ang._fraction_view(grid)
+    lebesgue = lambda t: t              # the identity, in grid units
     ids: dict[tuple[int, ...], int] = {}
     nid = 0
     for layer in levels:
@@ -159,10 +160,9 @@ def _tree_from_levels(grid: int, levels: list[list[ang.GridNode]],
             elif n == 0:
                 invariant = root_invariant(wn.inner_pair)
             else:
-                origin = ang.entering_access(window, outer)
                 invariant = angular_invariant(
-                    ang.cumulative_position(window, origin, t) / grid / measure
-                    for t in inner)
+                    p / grid / measure for p in
+                    ang.cylinder_positions(window, outer, inner, lebesgue))
             nodes[ids[address]] = TreeNode(
                 id=ids[address], depth=n,
                 g_minus=float(g_minus), g_plus=float(g_plus),

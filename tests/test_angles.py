@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenray.angles import level_windows, window_contains
+from greenray.angles import (cylinder_angles, cylinder_positions,
+                             level_windows, window_contains)
+from greenray.errors import InvalidInput
 from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                                  collapse)
 from greenray.tree import abstract_binary_tree
@@ -125,3 +127,62 @@ def test_window_contains_matches_fraction_comparison(window, theta, closed):
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
 def test_window_contains_rejects_non_finite(theta):
     assert not window_contains(((Fraction(0), Fraction(1)),), theta, True)
+
+
+# the cylinder walks: a two-piece window glued at 5/8, left by 3/8
+GLUED = ((Fraction(1, 8), Fraction(3, 8)), (Fraction(5, 8), Fraction(7, 8)))
+SEAM_PAIR = (Fraction(3, 8), Fraction(5, 8))
+
+
+def test_cylinder_walks_start_at_the_seam():
+    assert cylinder_positions(GLUED, SEAM_PAIR,
+                              [Fraction(5, 8), Fraction(3, 4), Fraction(1, 4),
+                               Fraction(3, 8)], lambda t: t) == \
+        [0, Fraction(1, 8), Fraction(3, 8), Fraction(1, 2)]
+    assert cylinder_angles(GLUED, SEAM_PAIR, [0, Fraction(1, 4), 1]) == \
+        [Fraction(5, 8), Fraction(3, 4), Fraction(3, 8)]
+
+
+@pytest.mark.parametrize("theta_c", [Fraction(1, 2), Fraction(3, 10)])
+def test_cylinder_angles_invert_positions(theta_c):
+    steps = [Fraction(i, 12) for i in range(13)]
+    for node in level_windows(theta_c, 4)[4]:
+        thetas = cylinder_angles(node.window, node.outer_pair, steps)
+        total = sum(hi - lo for lo, hi in node.window)
+        assert [p / total for p in cylinder_positions(
+            node.window, node.outer_pair, thetas, lambda t: t)] == steps
+
+
+def _walk(walk, pair, points):
+    if walk is cylinder_positions:
+        return cylinder_positions(GLUED, pair, points, lambda t: t)
+    return cylinder_angles(GLUED, pair, points)
+
+
+@pytest.mark.parametrize("walk, point", [
+    (cylinder_positions, Fraction(1, 2)), (cylinder_positions, Fraction(0)),
+    (cylinder_positions, Fraction(15, 16)),
+    (cylinder_angles, Fraction(-1, 4)), (cylinder_angles, Fraction(5, 4)),
+    (cylinder_angles, 1.0 + 2.0 ** -52)],
+    ids=["angle_in_gap", "angle_zero", "angle_in_wrap_gap",
+         "fraction_below_zero", "fraction_above_one", "float_above_one"])
+def test_cylinder_walks_reject_points_outside(walk, point):
+    with pytest.raises(InvalidInput):
+        _walk(walk, SEAM_PAIR, [Fraction(3, 8), point])
+
+
+@pytest.mark.parametrize("walk", [cylinder_positions, cylinder_angles])
+@pytest.mark.parametrize("pair", [
+    (Fraction(3, 8), Fraction(7, 8)), (Fraction(1, 8), Fraction(5, 8))],
+    ids=["no_entering_access", "two_entering_accesses"])
+def test_cylinder_walks_reject_pairs_without_one_seam(walk, pair):
+    with pytest.raises(InvalidInput, match="exactly one entering access"):
+        _walk(walk, pair, [Fraction(3, 8)])
+
+
+@pytest.mark.parametrize("theta_c, depth", [
+    (Fraction(1, 3), 3), (Fraction(2, 5), 3), (Fraction(1, 2), -1)],
+    ids=["period_two", "period_four", "negative_depth"])
+def test_level_windows_rejects(theta_c, depth):
+    with pytest.raises(InvalidInput):
+        level_windows(theta_c, depth)

@@ -490,6 +490,19 @@ def test_bulk_series_domain():
         descend_rays_bulk(GreenSystem.from_c(-1e5), [0.1], 1.0)
 
 
+def test_certified_truncation_keeps_series_domain():
+    # `_far_points` relies on a certified psi_c truncation implying
+    # |c| e^(-2 G_FAR) < 1/2; sweep |c| across the edge of certification
+    ratios = {True: [], False: []}
+    for m in np.geomspace(5e4, 1e5, 21):
+        for k in range(5):
+            c = cmath.rect(m, math.pi + 2.0 * math.pi * k / 5)
+            sys_ = GreenSystem(c, critical_value_angle=Fraction(1, 2))
+            ratios[bool(sys_._psi)].append(m * math.exp(-2.0 * G_FAR))
+    assert max(ratios[True]) < 0.5
+    assert max(ratios[True]) > 0.4 and min(ratios[False]) < 0.5
+
+
 FAR_POINT_PARAMS = [-5.0, -3.0, -1.0, 0.25, -100.0, 0.3 + 0.5j]
 
 

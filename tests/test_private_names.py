@@ -71,3 +71,38 @@ def test_dead_private_name_detector():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def foreign_private_loads(source: str) -> list[str]:
+    """`module:name` of each private name a module loads from another
+    module of the package: imported by `from .x import _name`, or read as
+    an attribute of a package module bound by `from . import x`."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found += [f"{node.module}:{a.name}" for a in node.names
+                      if _is_private(a.name)]
+            if node.module is None:
+                modules |= {a.asname or a.name for a in node.names}
+    found += [f"{node.value.id}:{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _is_private(node.attr)]
+    return sorted(found)
+
+
+def test_foreign_private_load_detector():
+    source = ("from . import render, angles as ang\n"
+              "from .rectify import _kernel, public\n"
+              "from .tree import (TreeNode as _TreeNode)\n"
+              "def _own():\n    return public(ang._grid, render.svg)\n"
+              "x = _own() + obj._field\nang._cache = 1\n")
+    # a module's own private names, an attribute of an object and an
+    # attribute store are not loads from another module
+    assert foreign_private_loads(source) == ["ang:_grid", "rectify:_kernel"]
+
+
+def test_cli_loads_no_private_names():
+    assert foreign_private_loads((PACKAGE / "cli.py").read_text()) == []

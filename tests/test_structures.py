@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greenray import angles as ang
 from greenray.errors import (NotAdmissible, OverlappingWindows, RootNode,
                              SchemaError)
 from greenray.potential import critical_potential
@@ -347,42 +346,60 @@ def subtree_size(tree, nid) -> int:
     return 1 + sum(subtree_size(tree, c) for c in tree.nodes[nid].children)
 
 
-def _cumulative_position_d(window, origin, theta, d) -> float:
-    """Oracle for `structures._offset`: the mass of the pushforward of d
-    swept ccw inside the window from `origin` to theta.
+def _cumulative_position_d(window, seam, theta, d) -> Fraction:
+    """Oracle for the mu_d positions of `collapse`: the exact mu_d mass of
+    the window cut to the ccw arc from `seam` to theta.
 
-    Pieces are weighted by d(hi) - d(lo); d is evaluated with the lift
-    normalisation d(0) = 0, d(1) = 1, so no wrap correction is needed for
-    the stored (non-wrapping) pieces.
+    d's float breakpoints are taken as Fractions and d is interpolated
+    between them in exact arithmetic; no angles or structures code runs.
     """
-    acc = 0.0
-    for lo, hi in ang._cyclic_pieces_from(window, origin):
-        if lo <= theta <= hi:
-            return acc + (d(float(theta)) - d(float(lo)))
-        acc += d(float(hi)) - d(float(lo))
-    raise AssertionError("theta is not inside the window")
+    xs = [Fraction(x) for x, _ in d.breakpoints]
+    ys = [Fraction(y) for _, y in d.breakpoints]
+
+    def cdf(x):
+        i = max(i for i in range(len(xs) - 1) if xs[i] <= x)
+        return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
+
+    seam, theta = Fraction(seam), Fraction(theta)
+    arc = [(seam, theta)] if seam <= theta else \
+        [(seam, Fraction(1)), (Fraction(0), theta)]
+    mass = Fraction(0)
+    for lo, hi in window:
+        for a, b in arc:
+            cut_lo, cut_hi = max(Fraction(lo), a), min(Fraction(hi), b)
+            if cut_lo < cut_hi:
+                mass += cdf(cut_hi) - cdf(cut_lo)
+    return mass
 
 
 def test_collapse_merged_angular_invariant_telescopes(tree_m3_d4):
-    victim = tree_m3_d4.level(2)[0]
-    vs = VirtualStructure(flat_on_window(victim.windows),
-                          PotentialHomeo.identity())
-    parent = next(n for n in tree_m3_d4.nodes.values()
-                  if victim.id in n.children)
-    sibling = next(tree_m3_d4.nodes[c] for c in parent.children
-                   if c != victim.id)
-    out = collapse(tree_m3_d4, vs)
-    merged = min((n for n in out.level(1)), key=lambda n: -n.modulus)
-    # oracle: positions of the bottom inner accesses inside the top window,
-    # measured by mu_d from the parent's entering access
-    origin = ang.entering_access(parent.windows, parent.outer_accesses)
-    total = measure_of(vs.d, parent.windows)
-    pos = sorted(
-        _cumulative_position_d(parent.windows, origin, b, vs.d) / total
-        for b in sibling.inner_accesses)
-    expect = tuple(sorted(((-p) % 1.0 for p in pos), reverse=True))
-    got = tuple(sorted(merged.angular_invariant, reverse=True))
-    assert got == pytest.approx(expect, abs=1e-12)
+    for length in (2, 3, 4):
+        # a chain of `length` annuli down from a depth-1 annulus: below the
+        # top, d kills the first child of each annulus of the chain
+        top = tree_m3_d4.level(1)[0]
+        chain, victims = [top], []
+        for _ in range(length - 1):
+            victim, survivor = (tree_m3_d4.nodes[c]
+                                for c in chain[-1].children)
+            victims.append(victim)
+            chain.append(survivor)
+        vs = VirtualStructure(
+            flat_on_window([piece for v in victims for piece in v.windows]),
+            PotentialHomeo.identity())
+        out = collapse(tree_m3_d4, vs)
+        merged = [n for n in out.nodes.values() if n.g_plus == top.g_plus
+                  and n.g_minus == chain[-1].g_minus]
+        assert len(merged) == 1
+        # oracle: positions of the bottom inner accesses inside the top
+        # window, measured by mu_d from the top's entering access
+        lefts = {lo for lo, _ in top.windows}
+        seam, = (a for a in top.outer_accesses if a in lefts)
+        total = _cumulative_position_d(top.windows, 0, 1, vs.d)
+        pos = sorted(_cumulative_position_d(top.windows, seam, b, vs.d) / total
+                     for b in chain[-1].inner_accesses)
+        expect = tuple(sorted(((-p) % 1.0 for p in pos), reverse=True))
+        got = tuple(sorted(merged[0].angular_invariant, reverse=True))
+        assert got == pytest.approx(expect, abs=1e-12), length
 
 
 def test_collapse_root_chain_merges(tree_m3_d4):

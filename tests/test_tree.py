@@ -298,6 +298,37 @@ def test_deserialize_rejects_garbage():
         deserialize_tree({"schema": "something-else"})
 
 
+@pytest.fixture(scope="module")
+def doc_m3_d3(sys_m3):
+    return serialize_tree(build_quadratic_tree(sys_m3, 3))
+
+
+# one edit per case; node k of the document has id k, the root is 0, nodes
+# 1-2 have depth 1 and 3-6 depth 2, and 7-14 are the depth-3 leaves
+@pytest.mark.parametrize("path, value, message", [
+    (("root",), 1, "missing or non-root root node"),
+    (("nodes", 0, "harmonic_measure"), 0.5,
+     "node 0 harmonic measure does not match its windows"),
+    (("nodes", 7, "is_end"), True, r"end node 7 must carry invariant \(0,0\)"),
+    (("nodes", 0, "children", 1), 99, "node 0 references missing child 99"),
+    (("nodes", 1, "depth"), 2, "child depth mismatch"),
+    (("nodes", 3, "g_plus"), 1.0,
+     "children must hang at the parent's inner potential"),
+    (("nodes", 1, "harmonic_measure"), 0.25,
+     "children of node 0 do not partition its harmonic measure"),
+    (("nodes", 2, "id"), 1, "duplicate node id 1"),
+    (("nodes", 3, "outer_accesses"), [[1, 4]], "bad pair in outer"),
+    (("nodes", 3, "inner_accesses"), "1/4", "bad pair in inner"),
+], ids=["root", "measure", "end_invariant", "missing_child", "child_depth",
+        "hang", "partition", "duplicate_id", "outer_pair", "inner_pair"])
+def test_deserialize_rejections_name_the_fault(doc_m3_d3, path, value,
+                                               message):
+    doc = json.loads(doc_m3_d3)
+    _set_at(doc, path, value)
+    with pytest.raises(SchemaError, match=message):
+        deserialize_tree(doc)
+
+
 # ---------------------------------------------------------------------------
 # decoding and the exact measure check
 # ---------------------------------------------------------------------------
