@@ -57,6 +57,7 @@ MAX_GRID_SIDE = 512
 MAX_SAMPLES = 16384
 # The keys a --config file may set; any other is a ConfigError.
 CONFIG_KEYS = ("c_re", "c_im", "max_iter", "tol")
+SYSTEM_COMMANDS = "green, ray, equipot, tree and probe"
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +180,31 @@ def _parse_d(value: str) -> CircleCDF:
     return deserialize_structure(Path(value).read_text()).d
 
 
-def _structure_from_args(args) -> VirtualStructure:
-    if getattr(args, "structure", None):
+def _structure_from_args(args) -> VirtualStructure | None:
+    """The (d, k) of `collapse`, `rectify` and `converge`, from exactly one
+    source: `--pair-k` (None: the pairing sets both), `--structure`, or
+    `--d` and `--k`.  A second source is a ConfigError, before any work."""
+    given = [flag for flag, on in (("--structure", args.structure),
+                                   ("--d", args.d != "id"),
+                                   ("--k", args.k != "id")) if on]
+    if getattr(args, "pair_k", False):
+        if given:
+            raise ConfigError("--pair-k sets d and k; it cannot be combined "
+                              "with --structure, --d or --k")
+        return None
+    if args.structure:
+        if len(given) > 1:
+            raise ConfigError("--structure sets d and k; it cannot be "
+                              f"combined with {' or '.join(given[1:])}")
         return deserialize_structure(Path(args.structure).read_text())
-    return VirtualStructure(_parse_d(getattr(args, "d", "id") or "id"),
-                            _parse_k(getattr(args, "k", "id") or "id"))
+    return VirtualStructure(_parse_d(args.d), _parse_k(args.k))
 
 
 def _transport_map(args) -> TransportMap:
-    """The transport map of `rectify` and `converge`, each system built once.
-    `--pair-k` sets (d, k), so --structure, --d and --k must stay id."""
-    if getattr(args, "pair_k", False):
-        if args.structure or args.d != "id" or args.k != "id":
-            raise ConfigError("--pair-k sets d and k; it cannot be combined "
-                              "with --structure, --d or --k")
-        return build_quadratic_pair(args.source_c, args.target_c)
+    """The transport map of `rectify` and `converge`, each system built once."""
     vs = _structure_from_args(args)
+    if vs is None:
+        return build_quadratic_pair(args.source_c, args.target_c)
     return TransportMap(GreenSystem.from_c(complex(args.source_c, 0.0)),
                         GreenSystem.from_c(complex(args.target_c, 0.0)), vs)
 
@@ -291,8 +301,8 @@ def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
 
 
 def _cmd_collapse(args, cfg, sink: ArtifactSink) -> None:
-    tree = deserialize_tree(Path(args.tree).read_text())
     vs = _structure_from_args(args)
+    tree = deserialize_tree(Path(args.tree).read_text())
     rep = None
     if args.m0 is not None:
         rep = admissible(tree, vs, args.m0)
@@ -414,7 +424,9 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--critical-value-angle", default=None,
                    dest="critical_value_angle",
-                   help="rational like 1/2; required for non-real Cantor c")
+                   help="rational like 3/10, for a Cantor c off the real "
+                        "ray c < -2; c fixes it elsewhere, and a value "
+                        "that disagrees is InvalidInput")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--config", default=None,
                     help="key=value file: " + ", ".join(CONFIG_KEYS)
-                         + "; any other key is a ConfigError")
+                         + f"; any other key is a ConfigError; for "
+                         f"{SYSTEM_COMMANDS} only")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("green", help="Green potential on a grid")
@@ -530,6 +543,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise InvalidInput(f"--seed {args.seed} is below 0")
+        # only the subcommands that build a system from --c read a config
+        if args.config is not None and not hasattr(args, "c"):
+            raise ConfigError(f"--config sets the system of {SYSTEM_COMMANDS}"
+                              f"; {args.command} builds none from it")
         cfg = _read_config(args.config)
         sink = ArtifactSink(Path(args.output_dir))
         args.func(args, cfg, sink)

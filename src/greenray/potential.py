@@ -70,8 +70,9 @@ class GreenSystem:
     Construction works out once the escape radius max(2 + |c|, 3) and G(0),
     which is positive (Cantor) exactly when the critical orbit escapes
     within max_iter.  The critical value angle is an exact rational for a
-    Cantor parameter, 1/2 by default on the real ray c < -2, and None for a
-    connected one.
+    Cantor parameter and None for a connected one.  Where c fixes it (1/2
+    on the real ray c < -2, None when connected) a supplied value that
+    disagrees is InvalidInput; other Cantor parameters must supply it.
 
     Far points of ray descent come from the Laurent series of the inverse
     Böttcher map, psi_c(u) = u * A(u^-2) with A(v) = sum a_n v^n, truncated
@@ -101,18 +102,23 @@ class GreenSystem:
         g0, _ = escape_green(self, 0.0 + 0.0j)
         put("_g0", g0)
         cva = self.critical_value_angle
-        if g0 <= 0.0:
-            cva = None
-        else:
-            if cva is None and (c.imag != 0.0 or c.real >= -2.0):
+        cva = None if cva is None else ang.frac1(Fraction(cva))
+        if g0 <= 0.0 or (c.imag == 0.0 and c.real < -2.0):
+            # c fixes the angle: none when connected, 1/2 on the ray c < -2
+            fixed = Fraction(1, 2) if g0 > 0.0 else None
+            if cva not in (None, fixed):
                 raise InvalidInput(
-                    "critical_value_angle must be supplied for a Cantor "
-                    "parameter off the real ray c < -2")
-            cva = ang.frac1(Fraction(1, 2) if cva is None else Fraction(cva))
-            if cva.denominator % 2 == 1:
-                raise InvalidInput(
-                    "critical value angle periodic under doubling is "
-                    "non-generic and unsupported")
+                    f"critical value angle {cva} disagrees with c = {c}, "
+                    f"which fixes it at {fixed or 'none (connected)'}")
+            cva = fixed
+        elif cva is None:
+            raise InvalidInput(
+                "critical_value_angle must be supplied for a Cantor "
+                "parameter off the real ray c < -2")
+        elif cva.denominator % 2 == 1:
+            raise InvalidInput(
+                "critical value angle periodic under doubling is "
+                "non-generic and unsupported")
         put("critical_value_angle", cva)
         # G(0) is certified to within tol, so e^(G(0) + tol) bounds R
         put("_psi", _psi_coefficients(c, g0 + self.tol))
@@ -670,44 +676,34 @@ class SkeletonArc:
     polyline: tuple[complex, ...]
 
 
-def _itinerary_address(sys: GreenSystem, p: complex, length: int) -> tuple[int, ...]:
-    """Cell address of an exterior point from the sign itinerary (real c)."""
-    bits = []
-    w = complex(p)
-    for _ in range(length):
-        # bit 1 on the side of the ray 1/2: precritical points of real c
-        # are real, so this is the sign of Re
-        bits.append(1 if _same_side(sys.c, w, 0.5, False, True) else 0)
-        w = w * w + sys.c
-    return tuple(bits)
-
-
-def skeleton(sys: GreenSystem, depth: int, arc_samples: int = 24) -> list[SkeletonArc]:
+def skeleton(sys: GreenSystem, depth: int) -> list[SkeletonArc]:
     """Skeleton arcs down to the given precritical depth.
 
     Each level-n precritical point carries the two access angles solving
     2^(n+1) theta = theta_c that bound its cell; the polyline samples the
-    two one-sided descending branches through the point.  `arc_samples`
-    below 1 is InvalidInput.
+    two one-sided descending branches through the point, 24 points each.
+
+    The cell is read from the inverse iteration: for real c < -2 every
+    parent q of `precritical_points` is real with q - c > 0, so its child
+    +sqrt(q - c) lies in arc 0 and -sqrt(q - c) in arc 1, and a level-n
+    point's address is the n low bits of its index in its level, least
+    significant first.  Other Cantor parameters raise AngleUnresolved.
     """
-    if arc_samples < 1:
-        raise InvalidInput(f"arc_samples must be >= 1, got {arc_samples}")
     if not sys.is_cantor:
         return []
-    if not sys.is_real:
+    if not (sys.is_real and sys.c.real < -2.0):
         raise AngleUnresolved(
-            "skeleton cell pairing uses the real-axis itinerary; "
-            "non-real parameters are unsupported")
+            "skeleton cells are read off the real inverse iteration; "
+            "parameters off the real ray c < -2 are unsupported")
     levels = ang.level_windows(sys.critical_value_angle, depth)
     by_address = {node.address: node for layer in levels for node in layer}
     arcs: list[SkeletonArc] = []
-    for pc in precritical_points(sys, depth):
-        addr = _itinerary_address(sys, pc.point, pc.level)
-        node = by_address[addr]
+    for j, pc in enumerate(precritical_points(sys, depth)):
+        i = j + 1 - (1 << pc.level)         # the index in its level
+        node = by_address[tuple(i >> k & 1 for k in range(pc.level))]
         a1, a2 = node.inner_pair
-        g_top = pc.potential
-        pots = [g_top * (0.5 ** (3.0 * i / max(arc_samples - 1, 1)))
-                for i in range(1, arc_samples + 1)]
+        # 24 potentials below the point's, each 2^(-3/23) times the last
+        pots = [pc.potential * (0.5 ** (3.0 * k / 23)) for k in range(1, 25)]
         plus = _descend(sys, [a1], pots, crash_side=+1)[:, 0].tolist()
         minus = _descend(sys, [a1], pots, crash_side=-1)[:, 0].tolist()
         poly = tuple(reversed(minus)) + (pc.point,) + tuple(plus)

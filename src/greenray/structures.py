@@ -276,12 +276,10 @@ def admissible(tree: AnalyticTree, vs: VirtualStructure,
             visit(cid, path)
 
     visit(tree.root_id, ())
+    # a depth down to the truncation may hold no node, or deleted ones
     all_depths_ok = all(depth_has_finite.get(d, False)
                         for d in range(1, tree.truncation_depth + 1))
-    if not all_depths_ok:
-        # additivity of mu_d makes this impossible; an assertion-grade guard
-        raise AssertionError("every vertex at some depth has infinite mod_xi")
-    ok = thin.verdict == "thin_certified" and not offenders
+    ok = thin.verdict == "thin_certified" and not offenders and all_depths_ok
     return AdmissibilityReport(
         verdict="admissible_certified" if ok else "inconclusive",
         offending_branches=tuple(offenders),

@@ -428,6 +428,9 @@ def _validate_tree(tree: AnalyticTree) -> None:
                     child.g_plus, n.g_minus, rel_tol=1e-12, abs_tol=1e-300):
                 raise SchemaError("children must hang at the parent's "
                                   "inner potential")
+            if child.outer_accesses != n.inner_accesses:
+                raise SchemaError(f"node {cid} outer accesses are not the "
+                                  f"inner accesses of its parent {n.id}")
             kid_mu += child.harmonic_measure
         if n.children and not math.isclose(kid_mu, n.harmonic_measure,
                                            rel_tol=1e-9, abs_tol=1e-12):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import greenray.cli
+import greenray.render
 import greenray.rectify
 import greenray.structures
 from greenray.angles import circ_dist
@@ -589,3 +590,112 @@ def test_rectify_pair_k_work_per_sample(tmp_path, monkeypatch):
     assert run(["--output-dir", tmp_path / "r", "rectify", "--source-c=-3",
                 "--target-c=-5", "--pair-k", "--samples", "5"]) == 0
     assert counts == {"systems": 2, "charts": 10, "target descents": 5}
+
+
+@pytest.mark.parametrize("argv", [
+    ["collapse", "--tree", "t.json"],
+    ["rectify", "--source-c=-3", "--target-c=-5", "--pair-k", "--samples",
+     "5"],
+    ["converge", "--source-c=0", "--target-c=0", "--samples", "4"],
+], ids=["collapse", "rectify", "converge"])
+def test_config_refused_where_no_system_reads_it(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # the file was read and dropped: rectify wrote the same residuals with
+    # and without it
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("tol = 1e-3\nmax_iter = 5\n")
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    for name in ("_read_config", "_structure_from_args", "deserialize_tree",
+                 "build_quadratic_pair"):
+        monkeypatch.setattr(greenray.cli, name, no_work)
+    out = tmp_path / "x"
+    err = assert_rejected(run(["--output-dir", out, "--config", cfg, *argv]),
+                          capsys, "ConfigError", out)
+    assert err.startswith("error: ConfigError: --config ")
+    assert err.endswith(f"{argv[0]} builds none from it")
+
+
+@pytest.mark.parametrize("command", [
+    ["collapse", "--tree", "t.json"],
+    ["rectify", "--source-c=-3", "--target-c=-5", "--samples", "2"],
+    ["converge", "--source-c=0", "--target-c=0", "--samples", "4"],
+], ids=["collapse", "rectify", "converge"])
+@pytest.mark.parametrize("extra, named", [
+    (["--k", "scale:3"], "--k"), (["--d", "st.json"], "--d"),
+    (["--d", "st.json", "--k", "st.json"], "--d or --k"),
+], ids=["k", "d", "d_k"])
+def test_structure_refuses_d_and_k(tmp_path, capsys, monkeypatch, command,
+                                   extra, named):
+    # --d and --k were dropped without a word under --structure: converge
+    # wrote the same rows with and without --k scale:3
+    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
+    for name in ("build_quadratic_pair", "TransportMap", "_parse_k",
+                 "_parse_d", "deserialize_structure", "deserialize_tree"):
+        monkeypatch.setattr(greenray.cli, name, no_work)
+    out = tmp_path / "x"
+    err = assert_rejected(
+        run(["--output-dir", out, *command, "--structure", "st.json",
+             *extra]), capsys, "ConfigError", out)
+    assert err.endswith(f"--structure sets d and k; it cannot be combined "
+                        f"with {named}")
+
+
+def test_converge_reads_d_and_k_files(tmp_path):
+    # --d and --k read their halves of a structure file: the same rows as
+    # --structure with that file
+    st = tmp_path / "st.json"
+    st.write_text(serialize_structure(_flat_structure()))
+    rows = []
+    for flags in (["--structure", st], ["--d", st, "--k", st]):
+        out = tmp_path / str(len(rows))
+        assert run(["--output-dir", out, "converge", "--source-c=0",
+                    "--target-c=0", *flags]) == 0
+        rows.append((out / "converge.csv").read_bytes())
+    assert rows[0] == rows[1]
+    assert sha256(rows[1]).hexdigest() == \
+        "3f4937f10552108f0844b07fd3507463572a20119e0de376c9bd8151fe3d880c"
+
+
+def test_collapse_reports_depth_without_vertex(tmp_path, capsys):
+    # a truncation depth below the deepest node ended in an AssertionError
+    # traceback from admissible
+    t = tmp_path / "t"
+    assert run(["--output-dir", t, "tree", "--c", "-3", "--depth", "3"]) == 0
+    doc = json.loads((t / "tree.json").read_text())
+    doc["truncation_depth"] = 6
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "c"
+    assert_rejected(run(["--output-dir", out, "collapse", "--tree", bad,
+                         "--m0", "0.01"]), capsys, "NotAdmissible", out)
+
+
+def test_rectify_svg_draws_transported_rings(tmp_path):
+    out = tmp_path / "r"
+    assert run(["--output-dir", out, "--seed", "3", "rectify",
+                "--source-c=-3", "--target-c=-5", "--pair-k", "--samples",
+                "4", "--emit", "svg"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["manifest.json", "rectify.svg"]
+    tm = build_quadratic_pair(-3.0, -5.0)
+    g0 = critical_potential(tm.source)
+    curves = [([transport_exterior(tm, z)
+                for z in greenray.cli._ring_points(tm.source, g, 160)],
+               "#58a066", True) for g in (0.25 * g0, 0.5 * g0)]
+    assert (out / "rectify.svg").read_text() == \
+        greenray.render.plane_svg(curves)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ray", "--c", "-3", "--angle", "1/4", "--g-lo", "0.05", "--g-hi", "1.0",
+     "--samples", "8", "--critical-value-angle", "3/10"],
+    ["ray", "--c", "-1", "--angle", "1/3", "--g-lo", "0.05", "--g-hi", "1.0",
+     "--samples", "4", "--critical-value-angle", "3/10"],
+], ids=["cantor_ray", "connected"])
+def test_critical_value_angle_fixed_by_c(tmp_path, capsys, argv):
+    # at c = -3 the angle built other combinatorics and wrote a ray through
+    # a precritical point; at c = -1 it was dropped, yet the manifest kept it
+    out = tmp_path / "x"
+    err = assert_rejected(run(["--output-dir", out, *argv]), capsys,
+                          "InvalidInput", out)
+    assert "critical value angle 3/10 disagrees with c" in err

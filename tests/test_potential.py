@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenray.potential
-from greenray.angles import circ_dist, frac1
+from greenray.angles import circ_dist, frac1, level_windows
 from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
                              InsideK, InvalidInput, NonFinite, OnSkeleton,
                              RayCrash)
@@ -706,8 +706,9 @@ def _doubling_orbit(p: int, q: int) -> list[int]:
 @pytest.mark.parametrize("tc", [Fraction(1, 2), Fraction(1, 6),
                                 Fraction(3, 10), Fraction(5, 8)])
 def test_crash_level_rule_matches_doubling_oracle(tc):
-    # the critical value angle is the only parameter data the rule reads
-    sys_ = GreenSystem.from_c(-3.0, critical_value_angle=tc)
+    # the critical value angle is the only parameter data the rule reads;
+    # 1 + 1j is Cantor off the real ray, so it takes any of them
+    sys_ = GreenSystem.from_c(1 + 1j, critical_value_angle=tc)
     rng = np.random.default_rng(2014)
     angles = [(p, q) for q in range(1, 513) for p in range(q)
               if math.gcd(p, q) == 1]
@@ -1182,11 +1183,48 @@ def test_skeleton_connected_empty(sys_0, sys_m1):
     assert skeleton(sys_m1, 3) == []
 
 
-@pytest.mark.parametrize("arc_samples", [0, -2])
-def test_skeleton_rejects_arc_samples_below_one(sys_m3, sys_0, arc_samples):
-    for sys_ in (sys_m3, sys_0):
-        with pytest.raises(InvalidInput, match="arc_samples"):
-            skeleton(sys_, 1, arc_samples=arc_samples)
+def _mp_skeleton_cells(c: float, depth: int) -> list:
+    """(point, inner pair of its cell) of every precritical point, in the
+    order of `precritical_points`, from 60-digit mpmath: the points are
+    regenerated by inverse iteration, and each cell is read from the
+    point's forward itinerary (bit 1 left of the imaginary axis)."""
+    cells = {node.address: node.inner_pair for level in
+             level_windows(Fraction(1, 2), depth) for node in level}
+    out = []
+    with mpmath.workdps(60):
+        cm, layer = mpmath.mpf(c), [mpmath.mpf(0)]
+        points = [(layer[0], 0)]
+        for n in range(1, depth + 1):
+            layer = [s for q in layer for r in [mpmath.sqrt(q - cm)]
+                     for s in (r, -r)]
+            points += [(p, n) for p in layer]
+        for p, n in points:
+            bits, w = [], p
+            for _ in range(n):
+                bits.append(int(w < 0))
+                w = w * w + cm
+            assert abs(w) < 1e-30
+            out.append((complex(p), cells[tuple(bits)]))
+    return out
+
+
+@pytest.mark.parametrize("c, depth", [(-3.0, 6), (-3000.0, 9), (-1e4, 8)])
+def test_skeleton_cells_match_mp_itinerary(c, depth):
+    # float forward itineraries gave 100 of 1023 cells wrong at c = -3000
+    # and 32 of 511 at c = -1e4: each step multiplies rounding by |2w|
+    arcs = skeleton(GreenSystem.from_c(c), depth)
+    oracle = _mp_skeleton_cells(c, depth)
+    assert len(arcs) == len(oracle) == 2 ** (depth + 1) - 1
+    for arc, (point, pair) in zip(arcs, oracle):
+        assert abs(arc.precritical_point - point) <= 1e-12 * abs(c)
+        assert arc.access_angles == pair
+
+
+@pytest.mark.parametrize("c", [1 + 1j, 1.0])
+def test_skeleton_off_real_ray_unresolved(c):
+    sys_ = GreenSystem.from_c(c, critical_value_angle=Fraction(1, 6))
+    with pytest.raises(AngleUnresolved, match="real ray c < -2"):
+        skeleton(sys_, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,6 +1250,30 @@ def test_green_values_converge_along_real_ray(sys_m3):
 def test_nonreal_requires_explicit_angle():
     with pytest.raises(ValueError):
         GreenSystem.from_c(1 + 1j)
+
+
+@pytest.mark.parametrize("c, tc", [(-3.0, Fraction(3, 10)),
+                                   (-3.0, Fraction(1, 4)),
+                                   (-1.0, Fraction(1, 2))],
+                         ids=["ray_3_10", "ray_1_4", "connected"])
+def test_angle_fixed_by_c_rejects_disagreement(c, tc):
+    # each was built: the angle was taken as given on the ray c < -2, and
+    # dropped for a connected c
+    with pytest.raises(InvalidInput, match="disagrees with c"):
+        GreenSystem.from_c(c, critical_value_angle=tc)
+
+
+def test_angle_fixed_by_c():
+    assert GreenSystem.from_c(-3.0).critical_value_angle == Fraction(1, 2)
+    for tc in (Fraction(1, 2), Fraction(3, 2)):
+        assert GreenSystem.from_c(-3.0, critical_value_angle=tc) \
+            .critical_value_angle == Fraction(1, 2)
+    assert GreenSystem.from_c(-1.0).critical_value_angle is None
+    # too few iterations to see the escape: connected, so no angle
+    assert GreenSystem.from_c(-3.0, max_iter=1).critical_value_angle is None
+    with pytest.raises(InvalidInput, match="none"):
+        GreenSystem.from_c(-3.0, max_iter=1,
+                           critical_value_angle=Fraction(1, 2))
 
 
 def test_nonreal_angle_high_potential_round_trip():

@@ -247,6 +247,15 @@ def test_admissible_flags_low_mod_xi(tree_m3_d4, sys_m3):
     assert rep.offending_branches
 
 
+def test_admissible_depth_without_finite_vertex_is_inconclusive():
+    # depths 2 and 3 hold no vertex: a bare AssertionError was raised
+    tree = abstract_binary_tree([1, .5, .25, .125], ends=[(0,), (1,)])
+    rep = admissible(tree, VirtualStructure.identity(), 0.01)
+    assert rep.verdict == "inconclusive"
+    with pytest.raises(NotAdmissible):
+        rep.require_certified()
+
+
 # ---------------------------------------------------------------------------
 # collapse
 # ---------------------------------------------------------------------------
@@ -485,6 +494,22 @@ def test_collapse_bytes_pinned(request, tree, structure, digest):
     tree = request.getfixturevalue(tree) if isinstance(tree, str) else tree()
     text = serialize_tree(collapse(tree, structure(tree)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tree", [
+    lambda: build_quadratic_tree(GreenSystem.from_c(-3.0), 6),
+    lambda: abstract_binary_tree([0.6 ** n for n in range(6)],
+                                 ends=[(1,), (0, 1, 1)],
+                                 theta_c=Fraction(3, 10)),
+    _collapsed_base,
+    lambda: collapse(_collapsed_base(), VirtualStructure(
+        STAIRCASE, PotentialHomeo.scaling(1.5))),
+], ids=["built", "abstract_ends", "collapsed", "collapse_of_collapse"])
+def test_written_trees_round_trip(tree):
+    # the decoder checks that each child's outer accesses are its parent's
+    # inner accesses; every tree greenray writes must pass
+    text = serialize_tree(tree())
+    assert serialize_tree(deserialize_tree(text)) == text
 
 
 @pytest.mark.parametrize("structure", [

@@ -319,12 +319,18 @@ def doc_m3_d3(sys_m3):
     (("nodes", 2, "id"), 1, "duplicate node id 1"),
     (("nodes", 3, "outer_accesses"), [[1, 4]], "bad pair in outer"),
     (("nodes", 3, "inner_accesses"), "1/4", "bad pair in inner"),
+    # node 5's accesses on node 3: collapse failed far from the fault
+    (("nodes", 3), lambda doc: {**doc["nodes"][3], **{
+        key: doc["nodes"][5][key]
+        for key in ("outer_accesses", "inner_accesses")}},
+     "node 3 outer accesses are not the inner accesses of its parent 1"),
 ], ids=["root", "measure", "end_invariant", "missing_child", "child_depth",
-        "hang", "partition", "duplicate_id", "outer_pair", "inner_pair"])
+        "hang", "partition", "duplicate_id", "outer_pair", "inner_pair",
+        "accesses_unglued"])
 def test_deserialize_rejections_name_the_fault(doc_m3_d3, path, value,
                                                message):
     doc = json.loads(doc_m3_d3)
-    _set_at(doc, path, value)
+    _set_at(doc, path, value(doc) if callable(value) else value)
     with pytest.raises(SchemaError, match=message):
         deserialize_tree(doc)
 
