@@ -20,6 +20,7 @@ precritical points.  All angle combinatorics is exact; see `angles.py`.
 Supported parameter range for the full chart:
   * real c < -2      -- Cantor, critical value angle exactly 1/2;
   * real -2 <= c <= 1/4 -- connected, empty skeleton;
+  * real c > 1/4     -- unsupported: c lies on the periodic ray of angle 0;
   * other c          -- escape_green everywhere; angles only while the
     argument lift stays certified (high potential), else AngleUnresolved.
 """
@@ -72,7 +73,9 @@ class GreenSystem:
     within max_iter.  The critical value angle is an exact rational for a
     Cantor parameter and None for a connected one.  Where c fixes it (1/2
     on the real ray c < -2, None when connected) a supplied value that
-    disagrees is InvalidInput; other Cantor parameters must supply it.
+    disagrees is InvalidInput.  A Cantor real c > 1/4 lies on the ray of
+    angle 0, periodic and so InvalidInput; other Cantor parameters must
+    supply it.
 
     Far points of ray descent come from the Laurent series of the inverse
     Böttcher map, psi_c(u) = u * A(u^-2) with A(v) = sum a_n v^n, truncated
@@ -103,6 +106,10 @@ class GreenSystem:
         put("_g0", g0)
         cva = self.critical_value_angle
         cva = None if cva is None else ang.frac1(Fraction(cva))
+        if g0 > 0.0 and c.imag == 0.0 and c.real > 0.25:
+            raise InvalidInput(
+                f"c = {c} lies on the external ray of angle 0, a critical "
+                "value angle periodic under doubling: unsupported")
         if g0 <= 0.0 or (c.imag == 0.0 and c.real < -2.0):
             # c fixes the angle: none when connected, 1/2 on the ray c < -2
             fixed = Fraction(1, 2) if g0 > 0.0 else None

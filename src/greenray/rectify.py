@@ -148,33 +148,69 @@ def continuum_map(cm: ContinuumMap, z: complex) -> complex:
     return invert_green_coords(cm.system, (gc.angle, cm.k(gc.potential)))
 
 
+_PAD = 1.0 + 2.0 ** -20     # relative slack over a few roundings
+_TINY = 2.0 ** -500         # absolute slack over squares that underflow
+_CHUNK = 16                 # queries per scan in `_cloud_distances`
+
+
 def _cloud_distances(cloud, pts) -> np.ndarray:
     """Distance from each query point to the nearest point of the cloud.
 
-    Exact for the whole cloud, yet the KD-tree holds only the cloud points
-    in the bounding box of `pts` widened by R, the largest distance from a
-    query to p*, the cloud point nearest the first query.  An empty cloud
-    or one with a non-finite point is InvalidInput.  scipy is imported
-    here, on the first query, so that importing greenray does not load it.
-    """
-    from scipy.spatial import cKDTree
+    Each query m gets min over the whole cloud of D(p, m) = sqrt(dx*dx +
+    dy*dy) in floats, the arithmetic of a p = 2 KD-tree query, bit for bit.
+    D, and np.abs (hypot), are within a relative 2^-50 of the true |p - m|,
+    plus at most 2^-537 where squares underflow.  So a bound computed from
+    a few such values, times _PAD = 1 + 2^-20 plus _TINY = 2^-500, is at
+    least the true value it bounds.  Let q be a cloud point with the least
+    D(q, m); then |q - m| <= |p - m| for every cloud point p, up to that
+    rounding.  The four steps keep q in view:
 
+    1. One scan of the cloud: d0 = |cloud - m0| for the first query m0,
+       p* the cloud point with the least d0, R = max |m - p*| and
+       S = max |m - m0| over the queries.  |q - m0| <= |q - m| + |m - m0|
+       <= R + S, so q survives the cut d0 <= (R + S) _PAD + _TINY.
+    2. The kept points sorted by x.  For each query, its nearest few
+       x-neighbours and p* give ub >= |q - m| once padded, so q.x lies in
+       [m.x - ub, m.x + ub].  Rounding is monotone and q.x is a float, so
+       the window ends computed in floats still hold it, and so does the
+       searchsorted slice between them.
+    3. The queries in x order, _CHUNK at a time: each chunk scans the one
+       slice of sorted points covering its members' windows and takes each
+       row's least dx*dx + dy*dy.
+    4. One square root at the end.
+
+    Temporaries are O(_CHUNK x slice).  An empty cloud, or one with a
+    non-finite point, is InvalidInput.
+    """
     cloud = np.ascontiguousarray(cloud, dtype=complex).ravel()
     pts = np.ascontiguousarray(pts, dtype=complex).ravel()
     if cloud.size == 0:
         raise InvalidInput("the boundary cloud is empty")
     if not np.isfinite(cloud).all():
         raise InvalidInput("the boundary cloud has a non-finite point")
-    p_star = cloud[np.argmin(np.abs(cloud - pts[0]))]
-    # The nearest point q of a query m has |q - m| <= |p* - m| <= R, so q is in
-    # the box; the pad covers rounding in np.abs, and edge rounding is monotone.
-    r = float(np.max(np.abs(pts - p_star))) * (1.0 + 2.0 ** -20)
-    x, y = cloud.real, cloud.imag
-    keep = ((x >= pts.real.min() - r) & (x <= pts.real.max() + r)
-            & (y >= pts.imag.min() - r) & (y <= pts.imag.max() + r))
-    # (re, im) rows: a view of the complex array, copied only where kept
-    dist, _ = cKDTree(cloud.view(float).reshape(-1, 2)[keep]).query(
-        pts.view(float).reshape(-1, 2))
+    m0 = pts[0]
+    d0 = np.abs(cloud - m0)
+    to_star = np.abs(pts - cloud[np.argmin(d0)])
+    bound = (to_star.max() + np.abs(pts - m0).max()) * _PAD + _TINY
+    kept = cloud[d0 <= bound]
+    kept = kept[np.argsort(kept.real)]
+    xs, ys = kept.real.copy(), kept.imag.copy()
+    order = np.argsort(pts.real)
+    q = pts[order]
+    near = np.searchsorted(xs, q.real)[:, None] + np.arange(-2, 2)
+    near = np.abs(kept[np.clip(near, 0, xs.size - 1)] - q[:, None])
+    ub = np.minimum(near.min(axis=1), to_star[order]) * _PAD + _TINY
+    starts = np.arange(0, pts.size, _CHUNK)
+    los = np.minimum.reduceat(np.searchsorted(xs, q.real - ub, "left"), starts)
+    his = np.maximum.reduceat(np.searchsorted(xs, q.real + ub, "right"), starts)
+    d2 = np.empty(pts.size)
+    for k, lo, hi in zip(starts.tolist(), los.tolist(), his.tolist()):
+        c = q[k:k + _CHUNK, None]
+        sq = np.square(xs[lo:hi] - c.real)
+        sq += np.square(ys[lo:hi] - c.imag)
+        d2[k:k + _CHUNK] = sq.min(axis=1)
+    dist = np.empty(pts.size)
+    dist[order] = np.sqrt(d2)
     return dist
 
 
@@ -207,10 +243,8 @@ def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
     overestimates delta and so lowers the integral.  `bound_ok` compares
     estimate/2 with log C plus a sampling slack of 0.1, a heuristic check.
 
-    delta is the exact distance to the nearest point of the whole cloud.
-    The KD-tree behind it holds only the cloud points in the bounding box
-    of the midpoints widened by R, the largest distance from a midpoint to
-    the cloud point nearest the first one; no other point can be nearest.
+    delta is the exact distance to the nearest point of the whole cloud
+    (`_cloud_distances`).
     """
     gc = log_bottcher(cm.system, z)
     g_a, g_b = gc.potential, cm.k(gc.potential)

@@ -400,6 +400,9 @@ def _validate_tree(tree: AnalyticTree) -> None:
     root = tree.nodes.get(tree.root_id)
     if root is None or not root.is_root:
         raise SchemaError("missing or non-root root node")
+    # a flat of d can squeeze the piece at a collapsed annulus's seam to a
+    # point, so only combinatorial windows must show their seam
+    seamed = tree.source.get("kind") != "collapsed"
     for n in tree.nodes.values():
         if len(n.children) == 1:
             raise SchemaError(f"node {n.id} has exactly one child; "
@@ -415,6 +418,13 @@ def _validate_tree(tree: AnalyticTree) -> None:
         if not math.isclose(mu, n.harmonic_measure, rel_tol=1e-12, abs_tol=1e-15):
             raise SchemaError(f"node {n.id} harmonic measure does not match "
                               "its windows")
+        if seamed and not n.is_root and n.outer_accesses is not None:
+            # exactly one outer access is a left end of a window piece
+            lefts = [lo for lo, _ in n.windows]
+            a, b = n.outer_accesses
+            if (a in lefts) == (b in lefts):
+                raise SchemaError(f"node {n.id} outer accesses are not the "
+                                  "seam of its window")
         if n.is_end and tuple(n.angular_invariant) != (0.0, 0.0):
             raise SchemaError(f"end node {n.id} must carry invariant (0,0)")
         kid_mu = 0.0

@@ -699,3 +699,14 @@ def test_critical_value_angle_fixed_by_c(tmp_path, capsys, argv):
     err = assert_rejected(run(["--output-dir", out, *argv]), capsys,
                           "InvalidInput", out)
     assert "critical value angle 3/10 disagrees with c" in err
+
+
+@pytest.mark.parametrize("angle", ["1/6", "1/2"])
+def test_real_c_above_quarter_is_refused(tmp_path, capsys, angle):
+    # c = 1 lies on the ray of angle 0; the tree was written with the
+    # combinatorics of the supplied angle
+    out = tmp_path / "x"
+    err = assert_rejected(run(["--output-dir", out, "tree", "--c", "1",
+                               "--critical-value-angle", angle,
+                               "--depth", "3"]), capsys, "InvalidInput", out)
+    assert "external ray of angle 0" in err

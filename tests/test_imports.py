@@ -1,5 +1,5 @@
 """Every name a module of the package imports is used in that module,
-and importing the package loads no scipy.
+and no run of the package loads scipy.
 
 Stdlib `ast` stands in for a linter: a name bound by `import` or
 `from ... import` counts as used when the module reads it as a name
@@ -48,21 +48,25 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-# Run in a fresh interpreter: the modules loaded after `import greenray`,
-# `import greenray.cli` and one CLI `tree` run, then whether one
-# nearest-distance query (a displacement) works and loads scipy.spatial.
+# Run in a fresh interpreter: import the package and the CLI, run CLI
+# `tree`, one displacement, one transported boundary distance and CLI
+# `probe` (its displacements), then list the scipy modules loaded.
 _STARTUP = """
 import json, sys
 import greenray, greenray.cli
 from greenray import (ContinuumMap, GreenSystem, PotentialHomeo,
-                      quasihyperbolic_displacement)
-code = greenray.cli.main(["--output-dir", sys.argv[1], "tree", "--c", "-3",
-                          "--depth", "4"])
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+                      build_quadratic_pair, quasihyperbolic_displacement,
+                      transported_boundary_distance)
+out = sys.argv[1]
+codes = [greenray.cli.main(["--output-dir", out + "/tree", "tree", "--c", "-3",
+                            "--depth", "4"]),
+         greenray.cli.main(["--output-dir", out + "/probe", "probe", "--c",
+                            "-1", "--displacement-points", "2"])]
 cm = ContinuumMap(GreenSystem.from_c(-1.0), PotentialHomeo.scaling(1.5))
 est = quasihyperbolic_displacement(cm, 1.2 + 0.7j)
-print(json.dumps([code, loaded, est.estimate > 0.0,
-                  "scipy.spatial" in sys.modules]))
+hd = transported_boundary_distance(build_quadratic_pair(-3.0, -5.0), 64, 10)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([codes, est.estimate > 0.0, hd > 0.0, loaded]))
 """
 
 
@@ -72,7 +76,9 @@ def test_startup_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _STARTUP, str(tmp_path)],
                          capture_output=True, text=True, env=env,
                          timeout=120, check=True)
-    code, loaded, displaced, spatial = json.loads(out.stdout.splitlines()[-1])
-    assert code == 0 and (tmp_path / "tree.json").exists()
+    codes, displaced, distance, loaded = json.loads(
+        out.stdout.splitlines()[-1])
+    assert codes == [0, 0] and (tmp_path / "tree" / "tree.json").exists()
+    assert (tmp_path / "probe" / "displacement.csv").exists()
+    assert displaced and distance
     assert loaded == []
-    assert displaced and spatial

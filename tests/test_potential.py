@@ -211,8 +211,9 @@ def test_escape_green_bulk_overflow_before_certification():
 
 
 def test_escape_green_bulk_iterate_overflow():
-    # 1e149^2 + c passes the float range in one step
-    sys_big = GreenSystem.from_c(1.7976931348623157e308,
+    # 1e149^2 + c passes the float range in one step; c is off the real
+    # axis, whose Cantor part above 1/4 is refused (angle 0)
+    sys_big = GreenSystem.from_c(complex(1.7976931348623157e308, 1.0),
                                  critical_value_angle=Fraction(1, 2))
     with pytest.raises(NonFinite, match="^iterate overflow$"):
         escape_green(sys_big, 1e149)
@@ -1220,7 +1221,7 @@ def test_skeleton_cells_match_mp_itinerary(c, depth):
         assert arc.access_angles == pair
 
 
-@pytest.mark.parametrize("c", [1 + 1j, 1.0])
+@pytest.mark.parametrize("c", [1 + 1j])
 def test_skeleton_off_real_ray_unresolved(c):
     sys_ = GreenSystem.from_c(c, critical_value_angle=Fraction(1, 6))
     with pytest.raises(AngleUnresolved, match="real ray c < -2"):
@@ -1288,6 +1289,16 @@ def test_nonreal_angle_low_potential_unresolved():
     sys_ = GreenSystem.from_c(1 + 1j, critical_value_angle=Fraction(1, 6))
     with pytest.raises(AngleUnresolved):
         log_bottcher(sys_, 0.05 + 0.30j)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.26, 1e6])
+@pytest.mark.parametrize("tc", [None, Fraction(1, 6), Fraction(1, 2)],
+                         ids=["none", "1_6", "1_2"])
+def test_real_c_above_quarter_rejected(c, tc):
+    # Cantor, and on the ray of angle 0, which is periodic under doubling;
+    # c = 1 with 1/6 built a system, whose skeleton raised AngleUnresolved
+    with pytest.raises(InvalidInput, match="external ray of angle 0"):
+        GreenSystem.from_c(c, critical_value_angle=tc)
 
 
 def test_periodic_critical_angle_rejected():

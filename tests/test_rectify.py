@@ -11,7 +11,8 @@ from scipy.spatial import cKDTree
 import greenray.rectify
 from greenray.errors import (CombinatoricsMismatch, Connected, GreenrayError,
                              InsideK, InvalidInput)
-from greenray.potential import (GreenSystem, critical_potential, escape_green,
+from greenray.potential import (GreenSystem, critical_potential,
+                                descend_rays_bulk, escape_green,
                                 invert_green_coords, julia_samples,
                                 log_bottcher, trace_equipotential, trace_ray)
 from greenray.rectify import (ContinuumMap, TransportMap, _cloud_distances,
@@ -298,7 +299,28 @@ def test_displacement_basilica_bounded(sys_m1):
 @st.composite
 def clouds_and_queries(draw):
     """A cloud (duplicates allowed) and queries inside its hull, far away,
-    or a single point; extents from 1e-12 to 1e3 around an offset centre."""
+    or a single point; extents from 1e-12 to 1e3 around an offset centre.
+    Or a cloud on a grid of integers times a power of two, where squares
+    and sums are exact: on the real line with many equal x, or queried
+    exactly at cloud points, or exactly halfway between grid points, where
+    nearest distances tie."""
+    kind = draw(st.sampled_from(["hull", "far", "single",
+                                 "line", "on_cloud", "tie"]))
+    if kind in ("line", "on_cloud", "tie"):
+        step = 2.0 ** draw(st.integers(-40, 10))
+        ints = st.lists(st.integers(-6, 6), min_size=1, max_size=40)
+        xs = np.array(draw(ints), float)
+        ys = np.zeros_like(xs) if kind == "line" else np.array(
+            draw(st.lists(st.integers(-6, 6), min_size=xs.size,
+                          max_size=xs.size)), float)
+        cloud = step * (xs + 1j * ys)
+        if kind == "on_cloud":
+            return cloud, cloud[draw(st.lists(
+                st.integers(0, xs.size - 1), min_size=1, max_size=30))]
+        half = st.integers(-15, 15)
+        return cloud, 0.5 * step * np.array(
+            [complex(draw(half), draw(half))
+             for _ in range(draw(st.integers(1, 30)))])
     scale = draw(st.sampled_from([1e-12, 1e-6, 1.0, 1e3]))
     centre = complex(draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)))
     unit = st.floats(-1.0, 1.0)
@@ -306,7 +328,6 @@ def clouds_and_queries(draw):
     cloud = centre + scale * np.array([complex(x, y) for x, y in xy])
     dups = draw(st.lists(st.integers(0, len(cloud) - 1), max_size=8))
     cloud = np.concatenate([cloud, cloud[dups]])
-    kind = draw(st.sampled_from(["hull", "far", "single"]))
     n = 1 if kind == "single" else draw(st.integers(1, 30))
     if kind == "far":
         r = st.floats(-1e3, 1e3)
@@ -331,6 +352,68 @@ def test_cloud_distances_equal_full_tree(case):
     full, _ = cKDTree(np.c_[cloud.real, cloud.imag]).query(
         np.c_[pts.real, pts.imag])
     assert _cloud_distances(cloud, pts).tobytes() == full.tobytes()
+
+
+def _kdtree_distances(cloud, pts):
+    """The oracle: a KD-tree over the whole cloud."""
+    return cKDTree(np.c_[cloud.real, cloud.imag]).query(
+        np.c_[pts.real, pts.imag])[0]
+
+
+def _boundary_case(n_rays):
+    """The cloud and ray endpoints of `transported_boundary_distance`
+    (c = -3 to -5, its default depth-16 cloud)."""
+    tm = build_quadratic_pair(-3.0, -5.0)
+    thetas = (np.arange(n_rays) + 0.5) / n_rays + 1.0 / 9973.0
+    g_end = tm.vs.k(1e-4 * critical_potential(tm.source))
+    pts = descend_rays_bulk(tm.target, [tm.vs.d(t) % 1.0 for t in thetas],
+                            g_end)
+    return julia_samples(tm.target, 16), [pts]
+
+
+def _displacement_case():
+    """The cloud and the 20 midpoint sets that 20 displacements at c = -1
+    query, with the bilipschitz-2 k of the basilica check."""
+    sys_m1 = GreenSystem.from_c(-1.0)
+    cm = ContinuumMap(sys_m1, PotentialHomeo(
+        ((0.0, 0.0), (0.01, 0.02), (0.02, 0.025), (0.03, 0.045),
+         (0.04, 0.05), (1.0, 1.01))))
+    cloud = julia_samples(sys_m1, 15)
+    queried = []
+
+    def record(cloud, pts):
+        queried.append(np.array(pts))
+        return _cloud_distances(cloud, pts)
+
+    rng = np.random.default_rng(2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greenray.rectify, "_cloud_distances", record)
+        for theta, g in zip(rng.random(20), rng.uniform(0.01, 0.05, 20)):
+            z = invert_green_coords(sys_m1, (theta, g))
+            quasihyperbolic_displacement(cm, z, boundary=cloud)
+    assert len(queried) == 20
+    return cloud, queried
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _boundary_case(4096),
+    lambda: _boundary_case(16384),
+    _displacement_case,
+    # the cut of the cloud scan needs its pad: without it the nearest
+    # point of the second query rounds out
+    lambda: (np.array([0.006609702047350958 - 0.024573117270487003j,
+                       -0.018501498850456537 + 0.06878366039423212j]),
+             [np.array([0j, -0.005945898401552792 + 0.022105271561872558j])]),
+    # the x-window needs its pad: m.x + |q.x - m.x| rounds below q.x
+    lambda: (np.array([-0.005549862681074551, 1.3974713977611906 + 0j]),
+             [np.array([-0.04585198872530105 + 0j])]),
+], ids=["boundary_4096", "boundary_16384", "displacement_c_m1",
+        "scan_pad", "window_pad"])
+def test_cloud_distances_match_kdtree_bit_equal(case):
+    cloud, queries = case()
+    for pts in queries:
+        assert _cloud_distances(cloud, pts).tobytes() == \
+            _kdtree_distances(cloud, pts).tobytes()
 
 
 def test_cloud_distances_unit_circle(sys_0):

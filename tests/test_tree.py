@@ -324,9 +324,16 @@ def doc_m3_d3(sys_m3):
         key: doc["nodes"][5][key]
         for key in ("outer_accesses", "inner_accesses")}},
      "node 3 outer accesses are not the inner accesses of its parent 1"),
+    # glued, but no access is a left end of the depth-1 windows: collapse
+    # failed with "expected exactly one entering access, got []"
+    (("nodes",), lambda doc: [
+        {**rec, ("inner_accesses" if rec["id"] == 0 else "outer_accesses"):
+         [[1, 3], [2, 3]]} if rec["depth"] < 2 else rec
+        for rec in doc["nodes"]],
+     "node 1 outer accesses are not the seam of its window"),
 ], ids=["root", "measure", "end_invariant", "missing_child", "child_depth",
         "hang", "partition", "duplicate_id", "outer_pair", "inner_pair",
-        "accesses_unglued"])
+        "accesses_unglued", "not_the_seam"])
 def test_deserialize_rejections_name_the_fault(doc_m3_d3, path, value,
                                                message):
     doc = json.loads(doc_m3_d3)
