@@ -11,7 +11,7 @@ from .potential import (GreenCoordinate, GreenSystem, critical_potential,
                         log_bottcher, precritical_points, skeleton,
                         trace_equipotential, trace_ray)
 from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
-                      build_quadratic_pair, continuum_map, convergence_study,
+                      build_quadratic_pair, convergence_study,
                       quasihyperbolic_displacement, transport_exterior,
                       transport_residuals, transport_with_residuals,
                       transported_boundary_distance)
@@ -37,7 +37,7 @@ __all__ = [
     "collapse", "deserialize_structure", "lipschitz_approx_d",
     "lipschitz_approx_k", "measure_of", "mod_xi", "serialize_structure",
     "ContinuumMap", "TransportMap", "boundary_derivative_probe",
-    "build_quadratic_pair", "continuum_map", "convergence_study",
+    "build_quadratic_pair", "convergence_study",
     "quasihyperbolic_displacement", "transport_exterior",
     "transport_residuals", "transport_with_residuals",
     "transported_boundary_distance",

@@ -395,10 +395,11 @@ def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
     z0 = complex(*_parse_values("--z0", args.z0, float, (1, 2)))
     probes = boundary_derivative_probe(cm, z0, radii)
     cloud = julia_samples(sys_, 14)
+    n = args.displacement_points
+    thetas = [((i + 0.5) / n + GOLDEN) % 1.0 for i in range(n)]
+    points = descend_rays_bulk(sys_, thetas, args.probe_g).tolist()
     rows = []
-    for i in range(args.displacement_points):
-        theta = ((i + 0.5) / args.displacement_points + GOLDEN) % 1.0
-        z = invert_green_coords(sys_, (theta, args.probe_g))
+    for theta, z in zip(thetas, points):
         est = quasihyperbolic_displacement(cm, z, boundary=cloud)
         rows.append((theta, z.real, z.imag, est.integral, est.estimate,
                      est.log_c, int(est.bound_ok())))

@@ -84,7 +84,7 @@ class NotAdmissible(GreenrayError):
 
 
 class TargetRayCrash(GreenrayError):
-    """Transported coordinates land on a target critical ray and retry failed."""
+    """A transported coordinate's target descent crashes, nudged or not."""
 
 
 class CombinatoricsMismatch(GreenrayError):

@@ -10,10 +10,10 @@ hold by construction up to numerical residuals.  Charts fix infinity with
 the Böttcher tangency, which pins the normalization without Möbius
 post-composition.
 
-For a connected Julia set and d = id this is the continuum map l: it fixes
-rays, moves potentials by k, and its quasihyperbolic displacement is bounded
-by log C for a C-bilipschitz k; both the displacement integral and boundary
-difference quotients are exposed as numeric probes.
+For a connected Julia set, d = id from a system to itself is the continuum
+map l (`ContinuumMap`): it fixes rays, moves potentials by k, and its
+hyperbolic displacement is at most log C for a C-bilipschitz k; the
+displacement integral and boundary difference quotients are numeric probes.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class TransportMap:
 def transport_exterior(tm: TransportMap, z: complex) -> complex:
     """Transport one exterior point through the Green charts.
 
-    Raises what the source chart raises (InsideK, OnSkeleton); a landing on
-    a target critical ray is retried once with the angle nudged by +-2^-45
-    before giving up with TargetRayCrash.
+    Raises what the source chart raises (InsideK, OnSkeleton).  A target
+    descent that raises RayCrash (a crash potential or a precritical point)
+    is retried at the angle +2^-45, then -2^-45, before TargetRayCrash: the
+    one crash policy of every rectification, continuum maps included.
     """
     return _to_target(tm, log_bottcher(tm.source, z))
 
@@ -78,8 +79,8 @@ def _to_target(tm: TransportMap, gc: GreenCoordinate) -> complex:
         except RayCrash:
             continue
     raise TargetRayCrash(
-        f"transported coordinate ({theta}, {g}) sits on a critical ray of "
-        "the target and nudging failed")
+        f"the target descent of ({theta}, {g}) crashes, and so do those "
+        "nudged by +-2^-45")
 
 
 def transport_residuals(tm: TransportMap, z: complex) -> tuple[float, float]:
@@ -126,26 +127,19 @@ def build_quadratic_pair(c: float, c_prime: float, depth: int = 10) -> Transport
 # Continuum maps (connected case)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuumMap:
-    """Ray-preserving potential reparametrization outside a continuum."""
+class ContinuumMap(TransportMap):
+    """The continuum map l: the transport with d = id from a connected
+    system to itself, moving G(z) to k(G(z)) along each external ray."""
 
-    system: GreenSystem
-    k: PotentialHomeo
-
-    def __post_init__(self):
-        if self.system.is_cantor:
+    def __init__(self, system: GreenSystem, k: PotentialHomeo):
+        if system.is_cantor:
             raise Connected("continuum maps require a connected Julia set")
+        super().__init__(system, system,
+                         VirtualStructure(CircleCDF.identity(), k))
 
     @property
     def log_bilipschitz(self) -> float:
-        return math.log(self.k.bilipschitz_constant)
-
-
-def continuum_map(cm: ContinuumMap, z: complex) -> complex:
-    """l(z): same external ray, potential moved from G(z) to k(G(z))."""
-    gc = log_bottcher(cm.system, z)
-    return invert_green_coords(cm.system, (gc.angle, cm.k(gc.potential)))
+        return math.log(self.vs.k.bilipschitz_constant)
 
 
 _PAD = 1.0 + 2.0 ** -20     # relative slack over a few roundings
@@ -215,7 +209,7 @@ def _cloud_distances(cloud, pts) -> np.ndarray:
 
 
 class DisplacementEstimate(NamedTuple):
-    estimate: float          # 2 * integral; between d_P and 4 d_P (Koebe)
+    estimate: float          # 2 * integral; at least d_P for the exact delta
     integral: float          # quasihyperbolic ray length between z and l(z)
     log_c: float             # log of the bilipschitz constant of k
     potential: float
@@ -234,26 +228,27 @@ def quasihyperbolic_displacement(cm: ContinuumMap, z: complex,
     Integrates |dz|/delta(z) by the midpoint rule over 160 geometric steps
     along the external ray between the potentials G(z) and k(G(z)), with
     delta the distance to `boundary`, an inverse-iteration sample cloud of
-    the Julia set (by default `julia_samples` at depth 14).  With the
-    hyperbolic density lambda of metric 2|dv|/(1 - |v|^2), the Schwarz
-    lemma and Koebe's 1/4 theorem give only 1/(2 delta) <= lambda <=
-    2/delta, so along the ray (a hyperbolic geodesic for connected K_c)
-    d_P/2 <= integral <= 2 d_P for the exact delta and d_P = d_P(l(z), z):
-    `estimate` = 2 integral lies between d_P and 4 d_P.  A cloud inside J
+    the Julia set (by default `julia_samples` at depth 14).  The hyperbolic
+    density lambda of metric 2|dv|/(1 - |v|^2) is at most 2/delta (Schwarz
+    lemma), so along the ray, a hyperbolic geodesic for connected K_c,
+    integral >= d_P/2 for the exact delta, d_P = d_P(l(z), z).  No ceiling
+    2 d_P holds: Koebe's lambda >= 1/(2 delta) needs a domain in C, and at
+    c = 0 lambda = 2/(|z|^2 - 1) falls below it once |z| > 3 (G from 1 to
+    1.5: integral 0.706, 2 d_P 0.636).  A cloud inside J
     overestimates delta and so lowers the integral.  `bound_ok` compares
     estimate/2 with log C plus a sampling slack of 0.1, a heuristic check.
 
     delta is the exact distance to the nearest point of the whole cloud
     (`_cloud_distances`).
     """
-    gc = log_bottcher(cm.system, z)
-    g_a, g_b = gc.potential, cm.k(gc.potential)
+    gc = log_bottcher(cm.source, z)
+    g_a, g_b = gc.potential, cm.vs.k(gc.potential)
     if g_a == g_b:
         return DisplacementEstimate(0.0, 0.0, cm.log_bilipschitz, g_a, g_b)
     lo, hi = min(g_a, g_b), max(g_a, g_b)
-    pts = [p.point for p in trace_ray(cm.system, gc.angle, lo, hi, 161)]
+    pts = [p.point for p in trace_ray(cm.source, gc.angle, lo, hi, 161)]
     if boundary is None:
-        boundary = julia_samples(cm.system, 14)
+        boundary = julia_samples(cm.source, 14)
     arr = np.asarray(pts)
     mids = 0.5 * (arr[1:] + arr[:-1])
     deltas = _cloud_distances(boundary, mids)
@@ -289,7 +284,7 @@ def boundary_derivative_probe(cm: ContinuumMap, z0: complex,
             direction = cmath.exp(2j * math.pi * j / 8)
             h = r * direction
             try:
-                w = continuum_map(cm, z0 + h)
+                w = transport_exterior(cm, z0 + h)
             except InsideK:
                 continue
             out.append(ProbeSample(r, direction, (w - z0) / h))

@@ -952,6 +952,30 @@ def test_descent_nonreal_unresolved_below_certified_lift():
         descend_rays_bulk(sys_, [0.1], 0.05)
 
 
+def test_nonreal_lift_refused_from_one_half():
+    # the lift is certified while every |c/w_j^2| < 1/2: a descent and an
+    # angle whose worst ratio lies in [1/2, 0.9) must not be answered
+    sys_ = GreenSystem.from_c(1 + 1j, critical_value_angle=Fraction(1, 6))
+    c = sys_.c
+    # the ladder's tower of the descent, as the descent meets it
+    z = complex(_ladder_descend(sys_, [0.2], [0.2], 1)[0, 0])
+    level_g, tower = 0.2, []
+    while level_g < G_FAR:
+        tower.append(abs(c / (z * z)))
+        z, level_g = z * z + c, 2.0 * level_g
+    assert 0.5 <= max(tower) < 0.9
+    with pytest.raises(AngleUnresolved):
+        descend_rays_bulk(sys_, [0.2], 0.2)
+    # the forward orbit of the point, up to where the phase is read
+    w, orbit = 1.2 + 0.8j, []
+    while abs(c) > 2.0 ** -60 * (abs(w) * abs(w)):
+        orbit.append(abs(c / (w * w)))
+        w = w * w + c
+    assert 0.5 <= max(orbit) < 0.9
+    with pytest.raises(AngleUnresolved):
+        log_bottcher(sys_, 1.2 + 0.8j)
+
+
 def test_descent_rejects_empty_targets(sys_m3):
     with pytest.raises(InvalidInput):
         _descend(sys_m3, [0.1], [], 1)

@@ -10,15 +10,15 @@ from scipy.spatial import cKDTree
 
 import greenray.rectify
 from greenray.errors import (CombinatoricsMismatch, Connected, GreenrayError,
-                             InsideK, InvalidInput)
+                             InsideK, InvalidInput, RayCrash, TargetRayCrash)
 from greenray.potential import (GreenSystem, critical_potential,
                                 descend_rays_bulk, escape_green,
                                 invert_green_coords, julia_samples,
                                 log_bottcher, trace_equipotential, trace_ray)
 from greenray.rectify import (ContinuumMap, TransportMap, _cloud_distances,
                               boundary_derivative_probe, build_quadratic_pair,
-                              chordal_distance, continuum_map,
-                              convergence_study, quasihyperbolic_displacement,
+                              chordal_distance, convergence_study,
+                              quasihyperbolic_displacement,
                               transport_exterior, transport_residuals,
                               transported_boundary_distance)
 from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
@@ -90,7 +90,6 @@ def test_transport_target_ray_crash(sys_0, sys_m3):
     # structure engineered to land exactly on (1/4, G(0)) of the target:
     # the crash potential of the 1/4-ray; both nudge retries still pass
     # through the precritical point, so the failure is reported
-    from greenray.errors import TargetRayCrash
     g0 = critical_potential(sys_m3)
     d = CircleCDF(((Fraction(0), 0.0), (Fraction(1, 2), 0.25),
                    (Fraction(1), 1.0)))
@@ -218,21 +217,21 @@ def test_transported_boundary_proximity():
 def test_continuum_identity(sys_m1):
     cm = ContinuumMap(sys_m1, PotentialHomeo.identity())
     z = 0.4 + 1.2j
-    assert abs(continuum_map(cm, z) - z) <= 10.0 * sys_m1.tol
+    assert abs(transport_exterior(cm, z) - z) <= 10.0 * sys_m1.tol
 
 
 def test_continuum_disk_power_law(sys_0):
     cm = ContinuumMap(sys_0, PotentialHomeo.scaling(1.5))
     r, phi = 1.3, 0.7
     z = r * cmath.exp(1j * phi)
-    w = continuum_map(cm, z)
+    w = transport_exterior(cm, z)
     assert abs(w - r ** 1.5 * cmath.exp(1j * phi)) <= 1e-8
 
 
 def test_continuum_ray0_potential_doubles(sys_m1):
     cm = ContinuumMap(sys_m1, PotentialHomeo.scaling(2.0))
     z = invert_green_coords(sys_m1, (0.0, 0.21))
-    w = continuum_map(cm, z)
+    w = transport_exterior(cm, z)
     gw, _ = escape_green(sys_m1, w)
     assert abs(gw - 0.42) <= 10.0 * sys_m1.tol
     assert w.imag == pytest.approx(0.0, abs=1e-9)  # stays on the 0-ray
@@ -241,6 +240,27 @@ def test_continuum_ray0_potential_doubles(sys_m1):
 def test_continuum_requires_connected(sys_m3):
     with pytest.raises(Connected):
         ContinuumMap(sys_m3, PotentialHomeo.identity())
+
+
+def test_continuum_map_is_the_identity_d_transport(sys_m1):
+    k = PotentialHomeo.scaling(1.5)
+    cm = ContinuumMap(sys_m1, k)
+    assert isinstance(cm, TransportMap)
+    assert cm.source is sys_m1 and cm.target is sys_m1
+    assert cm.vs == VirtualStructure(CircleCDF.identity(), k)
+    assert cm.log_bilipschitz == math.log(1.5)
+
+
+def test_continuum_crash_takes_the_transport_policy():
+    # at c = -2 the ray 1/4 lands on the critical point 0: a descent to
+    # 1e-6 i passes within the guard of it, with and without the nudges
+    sys_ = GreenSystem.from_c(-2.0)
+    cm = ContinuumMap(sys_, PotentialHomeo.identity())
+    z = 1e-6j
+    with pytest.raises(RayCrash):
+        invert_green_coords(sys_, log_bottcher(sys_, z))
+    with pytest.raises(TargetRayCrash):
+        transport_exterior(cm, z)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +299,41 @@ def test_displacement_disk_at_two_recorded(sys_0):
     assert est.log_c == pytest.approx(math.log(max(lam, 1.0 / lam)))
     shrink = ContinuumMap(sys_0, PotentialHomeo.scaling(0.5))
     assert shrink.log_bilipschitz == pytest.approx(math.log(2.0))
+
+
+def _disk_midpoint_slack(g_lo, g_hi, steps=160):
+    """How far the midpoint rule over `trace_ray`'s geometric potential
+    steps can fall below the integral of dr/(r - 1) at c = 0: h^3/24 times
+    the largest f'' = 2/(r - 1)^3 on each step."""
+    ratio = (g_lo / g_hi) ** (1.0 / steps)
+    g = [g_hi * ratio ** i for i in range(steps)] + [g_lo]
+    r = np.exp(g)
+    return float(np.sum(-np.diff(r) ** 3 / (12.0 * (r[1:] - 1.0) ** 3)))
+
+
+@pytest.mark.parametrize("g, ceiling", [(0.01, True), (0.2, True),
+                                        (0.7, True), (1.0, False)])
+def test_displacement_disk_koebe_floor_not_ceiling(sys_0, g, ceiling):
+    # at c = 0, delta = |z| - 1 and the density of 2|dv|/(1 - |v|^2) is
+    # 2/(|z|^2 - 1): the integral is log((e^g_b - 1)/(e^g_a - 1)) and
+    # d_P = |log coth(g_a/2) - log coth(g_b/2)|.  The floor d_P/2 holds
+    # everywhere; the ceiling 2 d_P fails once the segment reaches well
+    # past |z| = 3, where the density drops below 1/(2 delta)
+    cm = ContinuumMap(sys_0, PotentialHomeo.scaling(1.5))
+    for theta in (0.1, 0.45, 0.8):
+        z = invert_green_coords(sys_0, (theta, g))
+        est = quasihyperbolic_displacement(cm, z)
+        g_a, g_b = est.potential, est.potential_image
+        exact = math.log(math.expm1(g_b) / math.expm1(g_a))
+        d_p = abs(math.log(math.tanh(g_a / 2.0) / math.tanh(g_b / 2.0)))
+        # the midpoint rule and the cloud (2^14 roots of unity, within
+        # 2 sin(pi/2^15) of each circle point) both only lower the integral
+        cloud = 2.0 * math.sin(math.pi / 2 ** 15) / math.expm1(g_a)
+        low = exact * (1.0 - cloud) - _disk_midpoint_slack(g_a, g_b)
+        assert low - 1e-9 <= est.integral <= exact + 1e-9
+        assert est.integral >= d_p / 2.0
+        assert (est.integral <= 2.0 * d_p) == ceiling
+        assert (g_b <= math.log(3.0)) == ceiling
 
 
 def test_displacement_basilica_bounded(sys_m1):
@@ -407,8 +462,13 @@ def _displacement_case():
     # the x-window needs its pad: m.x + |q.x - m.x| rounds below q.x
     lambda: (np.array([-0.005549862681074551, 1.3974713977611906 + 0j]),
              [np.array([-0.04585198872530105 + 0j])]),
+    # the cut needs its underflow pad: the farther point's square rounds
+    # down to one subnormal and the nearer point's two squares round up
+    # to one each, so the farther point is the nearest in floats
+    lambda: (np.array([1.6e-162 + 1.6e-162j, 2.3e-162 + 0j]),
+             [np.array([0j])]),
 ], ids=["boundary_4096", "boundary_16384", "displacement_c_m1",
-        "scan_pad", "window_pad"])
+        "scan_pad", "window_pad", "underflow_pad"])
 def test_cloud_distances_match_kdtree_bit_equal(case):
     cloud, queries = case()
     for pts in queries:
@@ -493,7 +553,7 @@ def test_probe_rejects_radius_not_finite_positive(sys_m1, monkeypatch,
     def no_work(*args):
         raise AssertionError("a rejected probe started")
 
-    monkeypatch.setattr(greenray.rectify, "continuum_map", no_work)
+    monkeypatch.setattr(greenray.rectify, "transport_exterior", no_work)
     cm = ContinuumMap(sys_m1, PotentialHomeo.scaling(1.5))
     with pytest.raises(InvalidInput, match="finite and positive"):
         boundary_derivative_probe(cm, 0.3 + 0.6j, radii)
@@ -596,19 +656,43 @@ def _convergence_one_by_one(tm, n_list, samples):
     return rows
 
 
-def test_convergence_batches_like_single_transports(monkeypatch):
-    # a flat of d onto the level-1 access angle 1/8 and the dyadic k send a
-    # ring at G(0)/2 onto target rays at their crash potential: those
-    # groups raise in batch and are redone sample by sample with nudges
+def _flat_onto_eighth():
+    """The c = -3 to -5 pair with d flat on [1/8, 1/8 + 1/64], onto the
+    level-1 access angle 1/8, and the 63 source points at G(0)/2 on the
+    angles 1/8 + j/4096 inside the flat."""
     pair = build_quadratic_pair(-3.0, -5.0)
     d = CircleCDF(((Fraction(0), 0.0), (Fraction(1, 8), 0.125),
                    (Fraction(1, 8) + Fraction(1, 64), 0.125),
                    (Fraction(1), 1.0)))
     tm = TransportMap(pair.source, pair.target, VirtualStructure(d, pair.vs.k))
     g0 = critical_potential(tm.source)
-    samples = ring(tm.source, 0.5 * g0, 40) + [
-        invert_green_coords(tm.source, (Fraction(1, 8) + Fraction(j, 4096),
-                                        0.5 * g0)) for j in range(1, 64)]
+    return tm, [invert_green_coords(tm.source, (Fraction(1, 8)
+                                                + Fraction(j, 4096), 0.5 * g0))
+                for j in range(1, 64)]
+
+
+def test_transport_retries_a_crash_on_the_nudged_ray():
+    # the dyadic k sends each point onto the target ray 1/8 at its crash
+    # potential: the first descent raises, the +2^-45 ray answers
+    tm, points = _flat_onto_eighth()
+    for z in points:
+        gc = log_bottcher(tm.source, z)
+        theta, g = tm.vs.d(gc.angle) % 1.0, tm.vs.k(gc.potential)
+        assert theta == 0.125
+        with pytest.raises(RayCrash):
+            invert_green_coords(tm.target, (theta, g))
+        w = transport_exterior(tm, z)
+        assert w == invert_green_coords(tm.target, (0.125 + 2.0 ** -45, g))
+        assert abs(escape_green(tm.target, w)[0] - g) <= tm.tol
+
+
+def test_convergence_batches_like_single_transports(monkeypatch):
+    # a flat of d onto the level-1 access angle 1/8 and the dyadic k send a
+    # ring at G(0)/2 onto target rays at their crash potential: those
+    # groups raise in batch and are redone sample by sample with nudges
+    tm, points = _flat_onto_eighth()
+    g0 = critical_potential(tm.source)
+    samples = ring(tm.source, 0.5 * g0, 40) + points
     samples += [0.0j, 1.7 + 0.0j]               # on the skeleton: dropped
     calls = []
     one = greenray.rectify._to_target
