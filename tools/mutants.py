@@ -2,11 +2,13 @@
 
 Each mutant is a triple (file, exact text, replacement) that breaks one
 guard.  The runner copies the repository to a temporary directory,
-applies one mutant there, and runs tier-1 with `-x`; a mutant is killed
-when the run fails.  The repository itself is never edited.
+applies one mutant there, and runs tier-1 with `-x`.  The repository
+itself is never edited.  Tier-1 must first pass on an unmutated copy, or
+the run stops.  A mutant is killed when the run fails and its first failing
+test passes again once the mutant is undone; a run that fails for another
+reason (a runtime budget overrun, say) reads "unclear", not killed.
 
     python tools/mutants.py              # every mutant, then a table
-    python tools/mutants.py NAME ...     # only the named mutants
     python tools/mutants.py --check      # each text occurs once; no tests
 
 A full run makes one tier-1 run per mutant (tens of seconds each); `--check`
@@ -98,32 +100,49 @@ def check_texts() -> list[str]:
     return bad
 
 
-def run_one(m: Mutant) -> tuple[bool, str, float]:
-    """(killed, the first failing test or '', seconds) for one mutant."""
-    with tempfile.TemporaryDirectory(prefix="greenray-mutant-") as tmp:
-        tmp = Path(tmp) / "repo"
-        shutil.copytree(ROOT, tmp, ignore=shutil.ignore_patterns(*SKIP))
-        target = tmp / m.path
-        text = target.read_text(encoding="utf-8")
-        target.write_text(text.replace(m.text, m.replacement, 1),
-                          encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(tmp / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
-        t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "--continue-on-collection-errors"],
-            cwd=tmp, env=env, capture_output=True, text=True)
-        secs = time.perf_counter() - t0
+def copy_repo(tmp: str) -> Path:
+    """A copy of the repository under `tmp`, without `SKIP`."""
+    repo = Path(tmp) / "repo"
+    shutil.copytree(ROOT, repo, ignore=shutil.ignore_patterns(*SKIP))
+    return repo
+
+
+def pytest(repo: Path, *ids: str) -> tuple[bool, str]:
+    """(passed, the first failing test or '') of tier-1, or of `ids`, in
+    `repo`."""
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+         "no:cacheprovider", "--continue-on-collection-errors", *ids],
+        cwd=repo, env=env, capture_output=True, text=True)
     first = next((line.split(" ", 1)[1].split(" - ")[0]
                   for line in proc.stdout.splitlines()
                   if line.startswith(("FAILED ", "ERROR "))), "")
-    return proc.returncode != 0, first, secs
+    return proc.returncode == 0, first
+
+
+def run_one(m: Mutant) -> tuple[str, str, float]:
+    """(result, the first failing test or '', seconds) for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="greenray-mutant-") as tmp:
+        repo = copy_repo(tmp)
+        target = repo / m.path
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(m.text, m.replacement, 1),
+                          encoding="utf-8")
+        t0 = time.perf_counter()
+        passed, first = pytest(repo)
+        secs = time.perf_counter() - t0
+        if passed:
+            return "SURVIVED", "", secs
+        # the failure is the mutant's only if undoing it mends that test
+        target.write_text(text, encoding="utf-8")
+        killed = bool(first) and pytest(repo, first)[0]
+        return "killed" if killed else "unclear", first, secs
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("names", nargs="*", help="run only these mutants")
     ap.add_argument("--check", action="store_true",
                     help="only check that each mutant's text occurs once")
     args = ap.parse_args(argv)
@@ -134,21 +153,21 @@ def main(argv=None) -> int:
         if not bad:
             print(f"{len(MUTANTS)} mutants, each text found once")
         return 1 if bad else 0
-    known = {m.name for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        ap.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    with tempfile.TemporaryDirectory(prefix="greenray-mutant-") as tmp:
+        passed, first = pytest(copy_repo(tmp))
+    if not passed:
+        print(f"tier-1 fails without a mutant ({first or 'no test named'}); "
+              "no mutant run", file=sys.stderr)
+        return 1
     print("| mutant | file | result | first failing test | s |")
     print("|---|---|---|---|---|")
-    survivors = 0
-    for m in chosen:
-        killed, first, secs = run_one(m)
-        survivors += not killed
-        print(f"| `{m.name}` | `{m.path}` | "
-              f"{'killed' if killed else 'SURVIVED'} | "
+    not_killed = 0
+    for m in MUTANTS:
+        result, first, secs = run_one(m)
+        not_killed += result != "killed"
+        print(f"| `{m.name}` | `{m.path}` | {result} | "
               f"{f'`{first}`' if first else ''} | {secs:.0f} |", flush=True)
-    return 1 if survivors else 0
+    return 1 if not_killed else 0
 
 
 if __name__ == "__main__":
