@@ -55,9 +55,6 @@ MAX_GRID_SIDE = 512
 # c = -3, 16384 ray samples took 0.15 s and two curves of 16384 at
 # g = 0.3 1.3-1.7 s.
 MAX_SAMPLES = 16384
-# The keys a --config file may set; any other is a ConfigError.
-CONFIG_KEYS = ("c_re", "c_im", "max_iter", "tol")
-SYSTEM_COMMANDS = "green, ray, equipot, tree and probe"
 
 
 # ---------------------------------------------------------------------------
@@ -102,49 +99,12 @@ class ArtifactSink:
         return p
 
 
-def _read_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    out = {}
-    try:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
-                                  f"expected one of {', '.join(CONFIG_KEYS)}")
-            out[key] = val
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return out
-
-
-def _build_system(args, cfg: dict) -> GreenSystem:
-    def pick(flag, key, cast, default=None):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        if key in cfg:
-            return _parse_values(key, cfg[key], cast, (1,))[0]
-        return default
-
-    c_re = pick("c", "c_re", float)
-    if c_re is None:
-        raise ConfigError("parameter c is required (flag or config c_re)")
-    c_im = pick("c_im", "c_im", float, 0.0)
-    max_iter = int(pick("max_iter", "max_iter", int, 256))
-    tol = float(pick("tol", "tol", float, 1e-9))
-    cva = getattr(args, "critical_value_angle", None)
-    kwargs = {}
+def _build_system(args) -> GreenSystem:
+    cva = args.critical_value_angle
     if cva is not None:
-        kwargs["critical_value_angle"] = _parse_values(
-            "--critical-value-angle", cva, Fraction, (1,))[0]
-    return GreenSystem.from_c(complex(c_re, c_im), max_iter=max_iter,
-                              tol=tol, **kwargs)
+        cva = _parse_values("--critical-value-angle", cva, Fraction, (1,))[0]
+    return GreenSystem.from_c(complex(args.c, args.c_im), args.max_iter,
+                              args.tol, cva)
 
 
 def _parse_values(flag: str, text: str, cast, counts=None) -> list:
@@ -225,13 +185,13 @@ def _check_count(flag: str, n: int, cap: int, low: int = 1) -> None:
         raise InvalidInput(f"{flag} {n} is outside [{low}, {cap}]")
 
 
-def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_green(args, sink: ArtifactSink) -> None:
     _check_count("--nx", args.nx, MAX_GRID_SIDE)
     _check_count("--ny", args.ny, MAX_GRID_SIDE)
     x0, x1, y0, y1 = _parse_values("--window", args.window, float, (4,))
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
         raise InvalidInput(f"--window {args.window!r} is not finite")
-    sys_ = _build_system(args, cfg)
+    sys_ = _build_system(args)
     re = x0 + (x1 - x0) * (np.arange(args.nx) + 0.5) / args.nx
     im = y0 + (y1 - y0) * (np.arange(args.ny) + 0.5) / args.ny
     z = np.empty((args.ny, args.nx), dtype=complex)
@@ -243,9 +203,9 @@ def _cmd_green(args, cfg, sink: ArtifactSink) -> None:
     sink.write_csv("green.csv", ["re", "im", "potential", "err_bound"], rows)
 
 
-def _cmd_ray(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_ray(args, sink: ArtifactSink) -> None:
     _check_count("--samples", args.samples, MAX_SAMPLES, low=2)
-    sys_ = _build_system(args, cfg)
+    sys_ = _build_system(args)
     pts = trace_ray(sys_, _parse_angle(args.angle), args.g_lo, args.g_hi,
                     args.samples)
     sink.write_csv("ray.csv", ["re", "im", "potential", "angle"],
@@ -256,9 +216,9 @@ def _cmd_ray(args, cfg, sink: ArtifactSink) -> None:
             [([p.point for p in pts], "#4878a8", False)]))
 
 
-def _cmd_equipot(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_equipot(args, sink: ArtifactSink) -> None:
     _check_count("--samples", args.samples, MAX_SAMPLES, low=3)
-    sys_ = _build_system(args, cfg)
+    sys_ = _build_system(args)
     curves = trace_equipotential(sys_, args.g, args.samples)
     rows = []
     for ci, curve in enumerate(curves):
@@ -270,12 +230,12 @@ def _cmd_equipot(args, cfg, sink: ArtifactSink) -> None:
             [(c, "#4878a8", True) for c in curves]))
 
 
-def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_tree(args, sink: ArtifactSink) -> None:
     _check_count("--depth", args.depth, MAX_TREE_DEPTH)
     _check_count("--skeleton", args.skeleton, MAX_SKELETON_DEPTH, low=0)
     if args.m0 is not None and not 0.0 < args.m0 < math.inf:
         raise InvalidInput(f"--m0 {args.m0} is not finite and positive")
-    sys_ = _build_system(args, cfg)
+    sys_ = _build_system(args)
     tree = build_quadratic_tree(sys_, args.depth)
     sink.write_text("tree.json", serialize_tree(tree) + "\n")
     m0 = args.m0 if args.m0 is not None else \
@@ -300,7 +260,7 @@ def _cmd_tree(args, cfg, sink: ArtifactSink) -> None:
         sink.write_text("tree.svg", render.tree_cylinder_svg(tree))
 
 
-def _cmd_collapse(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_collapse(args, sink: ArtifactSink) -> None:
     vs = _structure_from_args(args)
     tree = deserialize_tree(Path(args.tree).read_text())
     rep = None
@@ -320,7 +280,7 @@ def _cmd_collapse(args, cfg, sink: ArtifactSink) -> None:
         sink.write_text("collapse.svg", render.collapse_svg(tree, out))
 
 
-def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_rectify(args, sink: ArtifactSink) -> None:
     _check_count("--samples", args.samples, MAX_SAMPLES)
     _check_count("--hausdorff-rays", args.hausdorff_rays, MAX_SAMPLES)
     emit = set(args.emit.split(","))
@@ -370,7 +330,7 @@ def _cmd_rectify(args, cfg, sink: ArtifactSink) -> None:
         sink.write_text("rectify.svg", render.plane_svg(curves))
 
 
-def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_converge(args, sink: ArtifactSink) -> None:
     _check_count("--samples", args.samples, MAX_SAMPLES)
     n_list = _parse_values("--n-list", args.n_list, int)
     if min(n_list) < 1:
@@ -384,12 +344,12 @@ def _cmd_converge(args, cfg, sink: ArtifactSink) -> None:
                    [(r.n, r.sup_distance, r.dropped_samples) for r in rows])
 
 
-def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
+def _cmd_probe(args, sink: ArtifactSink) -> None:
     _check_count("--displacement-points", args.displacement_points,
                  MAX_SAMPLES)
     if not 0.0 < args.probe_g <= G_MAX:
         raise InvalidInput(f"--probe-g {args.probe_g} is outside (0, {G_MAX}]")
-    sys_ = _build_system(args, cfg)
+    sys_ = _build_system(args)
     cm = ContinuumMap(sys_, _parse_k(args.k))
     radii = _parse_values("--radii", args.radii, float)
     z0 = complex(*_parse_values("--z0", args.z0, float, (1, 2)))
@@ -417,17 +377,31 @@ def _cmd_probe(args, cfg, sink: ArtifactSink) -> None:
 # ---------------------------------------------------------------------------
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--c", type=float, required=True,
                    help="real part of the parameter c")
-    p.add_argument("--c-im", type=float, default=None, dest="c_im",
-                   help="imaginary part of c (default 0)")
-    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--c-im", type=float, default=0.0, dest="c_im",
+                   help="imaginary part of c (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=256, dest="max_iter",
+                   help="escape iterations (default %(default)s)")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="potential tolerance (default %(default)s)")
     p.add_argument("--critical-value-angle", default=None,
                    dest="critical_value_angle",
                    help="rational like 3/10, for a Cantor c off the real "
                         "ray c < -2; c fixes it elsewhere, and a value "
                         "that disagrees is InvalidInput")
+
+
+def _add_structure_flags(p: argparse.ArgumentParser,
+                         structure_help: str | None = None) -> None:
+    p.add_argument("--structure", default=None, help=structure_help)
+    p.add_argument("--d", default="id")
+    p.add_argument("--k", default="id")
+
+
+def _add_pair_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--source-c", type=float, required=True, dest="source_c")
+    p.add_argument("--target-c", type=float, required=True, dest="target_c")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,10 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "for quadratic Julia sets")
     ap.add_argument("--output-dir", default="out")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--config", default=None,
-                    help="key=value file: " + ", ".join(CONFIG_KEYS)
-                         + f"; any other key is a ConfigError; for "
-                         f"{SYSTEM_COMMANDS} only")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("green", help="Green potential on a grid")
@@ -484,20 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse", help="collapse a tree by a structure")
     p.add_argument("--tree", required=True, help="tree JSON path")
-    p.add_argument("--structure", default=None, help="structure JSON path")
-    p.add_argument("--d", default="id")
-    p.add_argument("--k", default="id")
+    _add_structure_flags(p, "structure JSON path")
     p.add_argument("--m0", type=float, default=None,
                    help="certify admissibility at this threshold first")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=_cmd_collapse)
 
     p = sub.add_parser("rectify", help="transport exterior samples")
-    p.add_argument("--source-c", type=float, required=True, dest="source_c")
-    p.add_argument("--target-c", type=float, required=True, dest="target_c")
-    p.add_argument("--structure", default=None)
-    p.add_argument("--d", default="id")
-    p.add_argument("--k", default="id")
+    _add_pair_flags(p)
+    _add_structure_flags(p)
     p.add_argument("--pair-k", action="store_true", dest="pair_k",
                    help="use the dyadic-level pairing map as (d, k); not "
                         "with --structure, or --d or --k other than id")
@@ -513,11 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rectify)
 
     p = sub.add_parser("converge", help="Lipschitz approximation study")
-    p.add_argument("--source-c", type=float, required=True, dest="source_c")
-    p.add_argument("--target-c", type=float, required=True, dest="target_c")
-    p.add_argument("--structure", default=None)
-    p.add_argument("--d", default="id")
-    p.add_argument("--k", default="id")
+    _add_pair_flags(p)
+    _add_structure_flags(p)
     p.add_argument("--n-list", default="1,2,4,8,16,32,64", dest="n_list")
     p.add_argument("--samples", type=int, default=64,
                    help=f"ring samples, at most {MAX_SAMPLES}")
@@ -544,13 +506,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise InvalidInput(f"--seed {args.seed} is below 0")
-        # only the subcommands that build a system from --c read a config
-        if args.config is not None and not hasattr(args, "c"):
-            raise ConfigError(f"--config sets the system of {SYSTEM_COMMANDS}"
-                              f"; {args.command} builds none from it")
-        cfg = _read_config(args.config)
         sink = ArtifactSink(Path(args.output_dir))
-        args.func(args, cfg, sink)
+        args.func(args, sink)
         cli_cfg = {k: v for k, v in sorted(vars(args).items())
                    if k not in ("func",) and v is not None}
         cli_cfg = {k: (v if not isinstance(v, float) or math.isfinite(v) else None)

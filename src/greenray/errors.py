@@ -92,4 +92,5 @@ class CombinatoricsMismatch(GreenrayError):
 
 
 class ConfigError(GreenrayError):
-    """Invalid CLI or config-file input."""
+    """CLI input: a flag value that does not parse, flags that conflict,
+    or an input file that cannot be read."""

@@ -373,8 +373,11 @@ def transported_boundary_distance(tm: TransportMap, n_rays: int = 4096,
 
     Ray endpoints are taken at 1e-4 * G_src(0) on an angle grid offset away
     from all dyadic access angles; they approximate the continuous
-    extension of the transport to the Julia set.  A connected source has
-    no G_src(0) and raises Connected.
+    extension of the transport to the Julia set.  The endpoints descend in
+    one batch; if it raises RayCrash, they go through `_to_target` one by
+    one, under the crash policy of `transport_exterior`, and the first that
+    still fails is raised.  A connected source has no G_src(0) and raises
+    Connected.
     """
     if n_rays < 1:
         raise InvalidInput(f"n_rays must be >= 1, got {n_rays}")
@@ -385,5 +388,9 @@ def transported_boundary_distance(tm: TransportMap, n_rays: int = 4096,
     d = tm.vs.d
     k = tm.vs.k
     thetas_t = np.array([d(t) % 1.0 for t in thetas])
-    pts = descend_rays_bulk(tgt, thetas_t, k(g_end))
+    try:
+        pts = descend_rays_bulk(tgt, thetas_t, k(g_end))
+    except RayCrash:
+        pts = np.array([_to_target(tm, GreenCoordinate(t, g_end))
+                        for t in thetas])
     return float(_cloud_distances(julia_samples(tgt, julia_depth), pts).max())

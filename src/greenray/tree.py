@@ -419,12 +419,11 @@ def _validate_tree(tree: AnalyticTree) -> None:
             raise SchemaError(f"node {n.id} harmonic measure does not match "
                               "its windows")
         if seamed and not n.is_root and n.outer_accesses is not None:
-            # exactly one outer access is a left end of a window piece
-            lefts = [lo for lo, _ in n.windows]
-            a, b = n.outer_accesses
-            if (a in lefts) == (b in lefts):
+            try:
+                ang.entering_access(n.windows, n.outer_accesses)
+            except InvalidInput:
                 raise SchemaError(f"node {n.id} outer accesses are not the "
-                                  "seam of its window")
+                                  "seam of its window") from None
         if n.is_end and tuple(n.angular_invariant) != (0.0, 0.0):
             raise SchemaError(f"end node {n.id} must carry invariant (0,0)")
         kid_mu = 0.0

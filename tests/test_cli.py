@@ -245,39 +245,6 @@ def test_critical_level_maps_to_error_name(tmp_path, capsys):
     assert "CriticalLevel" in capsys.readouterr().err
 
 
-def test_config_file(tmp_path):
-    cfg = tmp_path / "sys.cfg"
-    cfg.write_text("# system\nc_re = -3.0\nc_im = 0.0\ntol = 1e-10\n")
-    out = tmp_path / "g"
-    assert run(["--output-dir", out, "--config", cfg, "green",
-                "--window=-1,1,-1,1", "--nx", "4", "--ny", "4"]) == 0
-    rows = (out / "green.csv").read_text().strip().split("\n")
-    assert len(rows) == 17
-
-
-def test_config_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("c_re -3\n")
-    code = run(["--output-dir", tmp_path / "x", "--config", cfg, "green"])
-    assert code == 1
-    assert "ConfigError" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["toll = 1e-3", "max_itr = 5",
-                                  "escape_radius = 6"])
-def test_config_unknown_key(tmp_path, capsys, monkeypatch, line):
-    # a misspelt or retired key used to be dropped without a word
-    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
-    cfg = tmp_path / "sys.cfg"
-    cfg.write_text(f"c_re = -3.0\n{line}\n")
-    out = tmp_path / "x"
-    assert run(["--output-dir", out, "--config", cfg, "green"]) == 1
-    key = line.split(" ", 1)[0]
-    assert capsys.readouterr().err.startswith(
-        f"error: ConfigError: {cfg}:2: unknown key {key!r}")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("emit", ["bogus", "csv,bogus", "csv,"])
 def test_rectify_emit_rejects_unknown_kind(tmp_path, capsys, monkeypatch,
                                            emit):
@@ -386,26 +353,50 @@ def test_svg_outputs(tmp_path):
 
 # sha256 of the artifact, taken with the scalar escape loop and per-sample
 # transport; the batched paths must reproduce every byte
-@pytest.mark.parametrize("argv, config, digest", [
-    (["--c", "-1", "--window=-2,2,-1.5,1.5", "--nx", "40", "--ny", "30"], None,
+@pytest.mark.parametrize("argv, digest", [
+    (["--c", "-1", "--window=-2,2,-1.5,1.5", "--nx", "40", "--ny", "30"],
      "e99183e5e377c09ddeba3fb0bca54aca29679250fae9e4cdbe8e901570b1aeca"),
-    (["--c", "-3", "--window=-2.5,2.5,-1,1", "--nx", "33", "--ny", "17"], None,
+    (["--c", "-3", "--window=-2.5,2.5,-1,1", "--nx", "33", "--ny", "17"],
      "1ae9e99300bf06c0508e2dec2a4303b17784c30680f39f2fb2f91fe1b9de8efe"),
     # a non-real c near the rabbit; the small budget leaves escapes whose
     # tail bound is still above tol
-    (["--window=-1.5,1.5,-1.2,1.2", "--nx", "37", "--ny", "29"],
-     "c_re = -0.12\nc_im = 0.75\nmax_iter = 12\n",
+    (["--c", "-0.12", "--c-im", "0.75", "--max-iter", "12",
+      "--window=-1.5,1.5,-1.2,1.2", "--nx", "37", "--ny", "29"],
      "2e4968901d37f60834b7fe10594e0277cdc2facc448860272baf5a84efed75d9"),
 ], ids=["c_m1", "c_m3", "c_rabbit_config"])
-def test_green_csv_pinned(tmp_path, argv, config, digest):
-    head = []
-    if config is not None:
-        cfg = tmp_path / "sys.cfg"
-        cfg.write_text(config)
-        head = ["--config", cfg]
+def test_green_csv_pinned(tmp_path, argv, digest):
     out = tmp_path / "g"
-    assert run(["--output-dir", out, *head, "green", *argv]) == 0
+    assert run(["--output-dir", out, "green", *argv]) == 0
     assert sha256((out / "green.csv").read_bytes()).hexdigest() == digest
+
+
+def test_manifest_records_every_system_parameter(tmp_path):
+    # a system read from a key=value file left its values out of the
+    # manifest: runs at two c wrote the same config
+    configs = []
+    for max_iter in ([], ["--max-iter", "12"]):
+        out = tmp_path / str(len(configs))
+        assert run(["--output-dir", out, "green", "--c", "-3", "--nx", "2",
+                    "--ny", "2", *max_iter]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        del config["output_dir"]
+        configs.append(config)
+    assert {k: configs[0][k] for k in ("c", "c_im", "max_iter", "tol")} == \
+        {"c": -3.0, "c_im": 0.0, "max_iter": 256, "tol": 1e-09}
+    assert configs[1] == {**configs[0], "max_iter": 12}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config=sys.cfg", "green", "--c", "-3"],
+    ["green", "--nx", "2", "--ny", "2"],
+], ids=["config_flag", "no_c"])
+def test_system_comes_from_flags_alone(tmp_path, argv):
+    # a system is set by its flags: no config file, and --c is required
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run(["--output-dir", out, *argv])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def _flat_structure():
@@ -590,29 +581,6 @@ def test_rectify_pair_k_work_per_sample(tmp_path, monkeypatch):
     assert run(["--output-dir", tmp_path / "r", "rectify", "--source-c=-3",
                 "--target-c=-5", "--pair-k", "--samples", "5"]) == 0
     assert counts == {"systems": 2, "charts": 10, "target descents": 5}
-
-
-@pytest.mark.parametrize("argv", [
-    ["collapse", "--tree", "t.json"],
-    ["rectify", "--source-c=-3", "--target-c=-5", "--pair-k", "--samples",
-     "5"],
-    ["converge", "--source-c=0", "--target-c=0", "--samples", "4"],
-], ids=["collapse", "rectify", "converge"])
-def test_config_refused_where_no_system_reads_it(tmp_path, capsys,
-                                                 monkeypatch, argv):
-    # the file was read and dropped: rectify wrote the same residuals with
-    # and without it
-    cfg = tmp_path / "sys.cfg"
-    cfg.write_text("tol = 1e-3\nmax_iter = 5\n")
-    monkeypatch.setattr(greenray.cli, "GreenSystem", None)
-    for name in ("_read_config", "_structure_from_args", "deserialize_tree",
-                 "build_quadratic_pair"):
-        monkeypatch.setattr(greenray.cli, name, no_work)
-    out = tmp_path / "x"
-    err = assert_rejected(run(["--output-dir", out, "--config", cfg, *argv]),
-                          capsys, "ConfigError", out)
-    assert err.startswith("error: ConfigError: --config ")
-    assert err.endswith(f"{argv[0]} builds none from it")
 
 
 @pytest.mark.parametrize("command", [

@@ -40,8 +40,7 @@ TEXT = {
     "--radii": ["{}", "0.1,{}"],
     "--n-list": ["{}", "1,{}"],
 }
-NOT_NUMERIC = {"--output-dir", "--config", "--tree", "--structure", "--d",
-               "--emit"}
+NOT_NUMERIC = {"--output-dir", "--tree", "--structure", "--d", "--emit"}
 
 
 def _options(parser):

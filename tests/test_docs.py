@@ -27,7 +27,6 @@ def test_readme_cli_lines(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "st.json").write_text(
         serialize_structure(VirtualStructure.identity()))
-    (tmp_path / "sys.cfg").write_text("c_re = -3.0\nc_im = 0.0\n")
     manifest = tmp_path / "out" / "manifest.json"
     for argv in lines:
         assert argv[0] == "greenray"

@@ -686,6 +686,29 @@ def test_transport_retries_a_crash_on_the_nudged_ray():
         assert abs(escape_green(tm.target, w)[0] - g) <= tm.tol
 
 
+def test_boundary_distance_takes_the_transport_crash_policy():
+    # the flat of d onto 1/8 and a k sending the ray ends to G'(0)/2, the
+    # crash potential of the target ray 1/8: the batch descent raised a
+    # bare RayCrash; the nudged ray +2^-45 answers, as in transport
+    flat, _ = _flat_onto_eighth()
+    src, tgt = flat.source, flat.target
+    g0, g1 = critical_potential(src), critical_potential(tgt)
+    g_end = 1e-4 * g0
+    k = PotentialHomeo(((0.0, 0.0), (g_end, 0.5 * g1), (g0, g1)))
+    tm = TransportMap(src, tgt, VirtualStructure(flat.vs.d, k))
+    ends, crashed = [], 0
+    for t in ((np.arange(64) + 0.5) / 64 + 1.0 / 9973.0).tolist():
+        theta, g = tm.vs.d(t) % 1.0, k(g_end)
+        try:
+            ends.append(invert_green_coords(tgt, (theta, g)))
+        except RayCrash:
+            crashed += 1
+            ends.append(invert_green_coords(tgt, (theta + 2.0 ** -45, g)))
+    assert crashed == 1
+    want = _kdtree_distances(julia_samples(tgt, 10), np.array(ends)).max()
+    assert transported_boundary_distance(tm, n_rays=64, julia_depth=10) == want
+
+
 def test_convergence_batches_like_single_transports(monkeypatch):
     # a flat of d onto the level-1 access angle 1/8 and the dyadic k send a
     # ring at G(0)/2 onto target rays at their crash potential: those

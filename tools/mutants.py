@@ -72,8 +72,8 @@ MUTANTS = (
            "        if False:"),
     # the decoder: one outer access of each node is its window's seam
     Mutant("decoder_seam_off", TREE,
-           "            if (a in lefts) == (b in lefts):",
-           "            if False:"),
+           "                ang.entering_access(n.windows, n.outer_accesses)",
+           "                pass"),
     # the decoder: a child's outer accesses are its parent's inner ones
     Mutant("decoder_glue_off", TREE,
            "            if child.outer_accesses != n.inner_accesses:",
