@@ -13,8 +13,7 @@ from .potential import (GreenCoordinate, GreenSystem, critical_potential,
 from .rectify import (ContinuumMap, TransportMap, boundary_derivative_probe,
                       build_quadratic_pair, convergence_study,
                       quasihyperbolic_displacement, transport_exterior,
-                      transport_residuals, transport_with_residuals,
-                      transported_boundary_distance)
+                      transport_with_residuals, transported_boundary_distance)
 from .structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                          admissible, collapse, deserialize_structure,
                          lipschitz_approx_d, lipschitz_approx_k, measure_of,
@@ -39,8 +38,7 @@ __all__ = [
     "ContinuumMap", "TransportMap", "boundary_derivative_probe",
     "build_quadratic_pair", "convergence_study",
     "quasihyperbolic_displacement", "transport_exterior",
-    "transport_residuals", "transport_with_residuals",
-    "transported_boundary_distance",
+    "transport_with_residuals", "transported_boundary_distance",
     "GreenrayError", "InvalidInput", "NonFinite", "InsideK", "OnSkeleton",
     "RayCrash", "CriticalLevel", "Connected", "AngleUnresolved",
     "RootHasInfiniteModulus", "RootNode", "SchemaError",

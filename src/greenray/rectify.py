@@ -58,45 +58,77 @@ def transport_exterior(tm: TransportMap, z: complex) -> complex:
     """Transport one exterior point through the Green charts.
 
     Raises what the source chart raises (InsideK, OnSkeleton).  A target
-    descent that raises RayCrash (a crash potential or a precritical point)
-    is retried at the angle +2^-45, then -2^-45, before TargetRayCrash: the
-    one crash policy of every rectification, continuum maps included.
+    descent that raises RayCrash is retried at the angle +2^-45, then
+    -2^-45, before TargetRayCrash (`_target_point`): the one crash policy
+    of every rectification, continuum maps included.
     """
-    return _to_target(tm, log_bottcher(tm.source, z))
-
-
-def _to_target(tm: TransportMap, gc: GreenCoordinate) -> complex:
-    """The target point of a source coordinate (`transport_exterior`)."""
-    theta = tm.vs.d(gc.angle) % 1.0
-    g = tm.vs.k(gc.potential)
-    try:
-        return invert_green_coords(tm.target, (theta, g))
-    except RayCrash:
-        pass
-    for eps in (2.0 ** -45, -2.0 ** -45):
-        try:
-            return invert_green_coords(tm.target, ((theta + eps) % 1.0, g))
-        except RayCrash:
-            continue
-    raise TargetRayCrash(
-        f"the target descent of ({theta}, {g}) crashes, and so do those "
-        "nudged by +-2^-45")
-
-
-def transport_residuals(tm: TransportMap, z: complex) -> tuple[float, float]:
-    """Defining-equation residuals (|potential|, angle distance) at z."""
-    return transport_with_residuals(tm, z)[1:]
+    return _transport_one(tm, z)[2]
 
 
 def transport_with_residuals(tm: TransportMap,
                              z: complex) -> tuple[complex, float, float]:
-    """`transport_exterior` and `transport_residuals` from one transport:
-    (w, potential residual, angle residual)."""
-    gc = log_bottcher(tm.source, z)
-    w = _to_target(tm, gc)
+    """`transport_exterior` and the defining-equation residuals from one
+    transport: (w, |potential residual|, angle distance), measured against
+    the image (d(theta) mod 1, k(g)) that the transport descended to."""
+    theta, g, w = _transport_one(tm, z)
     gcw = log_bottcher(tm.target, w)
-    return (w, abs(gcw.potential - tm.vs.k(gc.potential)),
-            circ_dist(gcw.angle, tm.vs.d(gc.angle) % 1.0))
+    return w, abs(gcw.potential - g), circ_dist(gcw.angle, theta)
+
+
+def _transport_one(tm: TransportMap,
+                   z: complex) -> tuple[float, float, complex]:
+    """(d(theta) mod 1, k(g), target point) of z; raises its error."""
+    gc = log_bottcher(tm.source, z)
+    (theta,), (g,), (w,) = _transport(tm, [gc.angle], [gc.potential])
+    if isinstance(w, GreenrayError):
+        raise w
+    return theta, g, w
+
+
+def _transport(tm: TransportMap, angles: Sequence[float],
+               potentials: Sequence[float]) -> tuple[list, list, list]:
+    """Image angles d(angle) mod 1, image potentials k(potential) and
+    target points (or their GreenrayError) of source coordinates.
+
+    k is called once per source potential, and the coordinates of one
+    target potential (k may round a chart's scattered potentials together)
+    descend in one `descend_rays_bulk`, with each ray's single-ray bits.
+    A level whose batch raises is redone ray by ray by `_target_point`.
+    """
+    k_of = {g: tm.vs.k(g) for g in set(potentials)}
+    gs = [k_of[g] for g in potentials]
+    levels: dict[float, list[int]] = {}
+    for i, g in enumerate(gs):
+        levels.setdefault(g, []).append(i)
+    d, tgt = tm.vs.d, tm.target
+    thetas, pts = [None] * len(gs), [None] * len(gs)
+    for g, ids in levels.items():
+        level = [d(angles[i]) % 1.0 for i in ids]
+        try:
+            ws = descend_rays_bulk(tgt, level, g).tolist()
+        except GreenrayError:
+            ws = [_target_point(tgt, theta, g) for theta in level]
+        for i, theta, w in zip(ids, level, ws):
+            thetas[i], pts[i] = theta, w
+    return thetas, gs, pts
+
+
+def _target_point(tgt: GreenSystem, theta: float,
+                  g: float) -> complex | GreenrayError:
+    """The point (theta, g) of the target, or the GreenrayError that stops
+    it.  A descent that raises RayCrash (a crash potential or a precritical
+    point) is retried at the angle +2^-45, then -2^-45, before
+    TargetRayCrash."""
+    for t in (theta, (theta + 2.0 ** -45) % 1.0, (theta - 2.0 ** -45) % 1.0):
+        try:
+            return invert_green_coords(tgt, (t, g))
+        except RayCrash:
+            continue
+        except GreenrayError as err:
+            return err
+    return TargetRayCrash(
+        f"the target descent of ({theta}, {g}) crashes, and so do those "
+        "nudged by +-2^-45")
 
 
 def build_quadratic_pair(c: float, c_prime: float, depth: int = 10) -> TransportMap:
@@ -307,59 +339,32 @@ def convergence_study(tm: TransportMap, n_list: Sequence[int],
 
     For each n the structure is replaced by (d_n, k_n) from the slope
     capping / flat ramping constructions and the transported images are
-    compared over the sample grid; samples where either transport fails are
-    dropped and counted.  An empty sample set raises InvalidInput: its
-    sup would read 0 and certify nothing.
+    compared over the sample grid.  Each sample's source coordinate is read
+    once and moved by `_transport`, as `transport_exterior` moves it;
+    samples where either transport raises a library error are dropped and
+    counted.  An empty sample set raises InvalidInput: its sup would read 0
+    and certify nothing.
     """
     if len(samples) == 0:
         raise InvalidInput("convergence_study needs at least one sample")
-    coords: dict[int, GreenCoordinate] = {}
-    for i, z in enumerate(samples):
+    coords: list[GreenCoordinate] = []
+    for z in samples:
         try:
-            coords[i] = log_bottcher(tm.source, z)
+            coords.append(log_bottcher(tm.source, z))
         except GreenrayError:
             continue
-    ref = _transport_all(tm, coords)
-    coords = {i: coords[i] for i in ref}
+    angles, pots = [a for a, _ in coords], [g for _, g in coords]
+    ref = _transport(tm, angles, pots)[2]
     rows: list[ConvergenceRow] = []
     for n in n_list:
-        vs_n = VirtualStructure(lipschitz_approx_d(tm.vs.d, n),
-                                lipschitz_approx_k(tm.vs.k, n))
-        images = _transport_all(TransportMap(tm.source, tm.target, vs_n),
-                                coords)
-        sup = max([0.0, *(chordal_distance(w, ref[i])
-                          for i, w in images.items())])
-        rows.append(ConvergenceRow(int(n), sup, len(samples) - len(images)))
+        tm_n = TransportMap(tm.source, tm.target, VirtualStructure(
+            lipschitz_approx_d(tm.vs.d, n), lipschitz_approx_k(tm.vs.k, n)))
+        dists = [chordal_distance(w, r) for w, r
+                 in zip(_transport(tm_n, angles, pots)[2], ref)
+                 if isinstance(w, complex) and isinstance(r, complex)]
+        rows.append(ConvergenceRow(int(n), max([0.0, *dists]),
+                                   len(samples) - len(dists)))
     return rows
-
-
-def _transport_all(tm: TransportMap,
-                   coords: dict[int, GreenCoordinate]) -> dict[int, complex]:
-    """`_to_target` of every coordinate; those that fail are left out.
-
-    Coordinates with one target potential are descended together in one
-    `descend_rays_bulk`, which gives each ray's single-ray bits.  A group
-    that raises goes through `_to_target` one by one, so its nudges and
-    failures are those of `transport_exterior`.
-    """
-    groups: dict[float, list[tuple[int, float]]] = {}
-    for i, gc in coords.items():
-        groups.setdefault(tm.vs.k(gc.potential), []).append(
-            (i, tm.vs.d(gc.angle) % 1.0))
-    out: dict[int, complex] = {}
-    for g, members in groups.items():
-        ids, thetas = zip(*members)
-        try:
-            pts = descend_rays_bulk(tm.target, thetas, g).tolist()
-        except GreenrayError:
-            for i in ids:
-                try:
-                    out[i] = _to_target(tm, coords[i])
-                except GreenrayError:
-                    continue
-        else:
-            out.update(zip(ids, pts))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +378,19 @@ def transported_boundary_distance(tm: TransportMap, n_rays: int = 4096,
 
     Ray endpoints are taken at 1e-4 * G_src(0) on an angle grid offset away
     from all dyadic access angles; they approximate the continuous
-    extension of the transport to the Julia set.  The endpoints descend in
-    one batch; if it raises RayCrash, they go through `_to_target` one by
-    one, under the crash policy of `transport_exterior`, and the first that
-    still fails is raised.  A connected source has no G_src(0) and raises
-    Connected.
+    extension of the transport to the Julia set.  They go through
+    `_transport`, one level in one batch, under the crash policy of
+    `transport_exterior`; the first endpoint that still fails is raised,
+    never dropped, as a dropped ray would lower the max.  A connected
+    source has no G_src(0) and raises Connected.
     """
     if n_rays < 1:
         raise InvalidInput(f"n_rays must be >= 1, got {n_rays}")
-    src, tgt = tm.source, tm.target
-    g_end = 1e-4 * critical_potential(src)
-    offset = 1.0 / 9973.0
-    thetas = (np.arange(n_rays) + 0.5) / n_rays + offset
-    d = tm.vs.d
-    k = tm.vs.k
-    thetas_t = np.array([d(t) % 1.0 for t in thetas])
-    try:
-        pts = descend_rays_bulk(tgt, thetas_t, k(g_end))
-    except RayCrash:
-        pts = np.array([_to_target(tm, GreenCoordinate(t, g_end))
-                        for t in thetas])
-    return float(_cloud_distances(julia_samples(tgt, julia_depth), pts).max())
+    g_end = 1e-4 * critical_potential(tm.source)
+    thetas = ((np.arange(n_rays) + 0.5) / n_rays + 1.0 / 9973.0).tolist()
+    pts = _transport(tm, thetas, [g_end] * n_rays)[2]
+    for w in pts:
+        if isinstance(w, GreenrayError):
+            raise w
+    return float(_cloud_distances(julia_samples(tm.target, julia_depth),
+                                  pts).max())

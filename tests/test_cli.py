@@ -15,7 +15,7 @@ from greenray.potential import (GreenSystem, critical_potential, escape_green,
                                 invert_green_coords, julia_samples,
                                 log_bottcher)
 from greenray.rectify import (TransportMap, build_quadratic_pair,
-                              transport_exterior, transport_residuals,
+                              transport_exterior, transport_with_residuals,
                               transported_boundary_distance)
 from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                                  deserialize_structure, serialize_structure)
@@ -524,10 +524,10 @@ def test_rectify_pair_k_refuses_structure(tmp_path, capsys, monkeypatch,
 
 
 def _parent_rectify_rows(tm, seed, samples):
-    """`rectify_residuals.csv` as one `invert_green_coords`,
-    `transport_exterior` and `transport_residuals` per sample make it; the
-    residuals are taken from the charts as `transport_residuals` once took
-    them, and `transport_residuals` must agree."""
+    """`rectify_residuals.csv` as one `invert_green_coords` and
+    `transport_exterior` per sample make it; the residuals are taken from
+    the charts against (d(theta) mod 1, k(g)) of the source coordinate, and
+    `transport_with_residuals` must agree."""
     rng = np.random.default_rng(seed)
     g_top = critical_potential(tm.source)
     lines = ["theta,g,z_re,z_im,w_re,w_im,potential_residual,angle_residual"]
@@ -539,7 +539,7 @@ def _parent_rectify_rows(tm, seed, samples):
         gc, gcw = log_bottcher(tm.source, z), log_bottcher(tm.target, w)
         pr = abs(gcw.potential - tm.vs.k(gc.potential))
         ar = circ_dist(gcw.angle, tm.vs.d(gc.angle) % 1.0)
-        assert transport_residuals(tm, z) == (pr, ar)
+        assert transport_with_residuals(tm, z) == (w, pr, ar)
         lines.append(",".join(map(repr, (theta, g, z.real, z.imag, w.real,
                                          w.imag, pr, ar))))
     return "\n".join(lines) + "\n"
@@ -575,7 +575,7 @@ def test_rectify_pair_k_work_per_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(GreenSystem, "__post_init__",
                         counted("systems", GreenSystem.__post_init__))
     for key, name in (("charts", "log_bottcher"),
-                      ("target descents", "invert_green_coords")):
+                      ("target descents", "descend_rays_bulk")):
         monkeypatch.setattr(greenray.rectify, name,
                             counted(key, getattr(greenray.rectify, name)))
     assert run(["--output-dir", tmp_path / "r", "rectify", "--source-c=-3",

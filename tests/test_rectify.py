@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from greenray.rectify import (ContinuumMap, TransportMap, _cloud_distances,
                               boundary_derivative_probe, build_quadratic_pair,
                               chordal_distance, convergence_study,
                               quasihyperbolic_displacement,
-                              transport_exterior, transport_residuals,
+                              transport_exterior, transport_with_residuals,
                               transported_boundary_distance)
 from greenray.structures import (CircleCDF, PotentialHomeo, VirtualStructure,
                                  lipschitz_approx_d, lipschitz_approx_k,
@@ -157,7 +159,7 @@ def test_pair_residuals(sys_m3):
         theta = float(rng.random())
         g = float(g0 * (0.2 + 1.3 * rng.random()))
         z = invert_green_coords(tm.source, (theta, g))
-        pr, ar = transport_residuals(tm, z)
+        pr, ar = transport_with_residuals(tm, z)[1:]
         assert pr <= 20.0 * tm.tol
         assert ar <= 20.0 * tm.tol
 
@@ -176,7 +178,7 @@ def test_pair_residuals_property(pair_m3_m5, theta, u):
     tm = pair_m3_m5
     g = critical_potential(tm.source) * u
     z = invert_green_coords(tm.source, (theta, g))
-    pr, ar = transport_residuals(tm, z)
+    pr, ar = transport_with_residuals(tm, z)[1:]
     assert pr <= 20.0 * tm.tol
     assert ar <= 20.0 * tm.tol
 
@@ -709,6 +711,99 @@ def test_boundary_distance_takes_the_transport_crash_policy():
     assert transported_boundary_distance(tm, n_rays=64, julia_depth=10) == want
 
 
+def _flat_onto_quarter():
+    """The c = -3 to -2 map with d flat on [1/4, 1/4 + 1/64], onto the ray
+    1/4 that lands on the critical point 0 of c = -2, and k sending
+    1e-4 G(0) to G_-2(1e-6 i)."""
+    src, tgt = GreenSystem.from_c(-3.0), GreenSystem.from_c(-2.0)
+    g0 = critical_potential(src)
+    d = CircleCDF(((Fraction(0), 0.0), (Fraction(1, 4), 0.25),
+                   (Fraction(1, 4) + Fraction(1, 64), 0.25),
+                   (Fraction(1), 1.0)))
+    k = PotentialHomeo(((0.0, 0.0),
+                        (1e-4 * g0, escape_green(tgt, 1e-6j)[0]), (g0, 1.0)))
+    return TransportMap(src, tgt, VirtualStructure(d, k))
+
+
+def test_boundary_distance_raises_never_drops():
+    # one ray end lies in the flat; with and without the nudges its descent
+    # passes within the guard of 0.  The other 63 descend, so dropping it
+    # would return a distance, and a lower one
+    tm = _flat_onto_quarter()
+    g = tm.vs.k(1e-4 * critical_potential(tm.source))
+    assert g == 5.000493235500542e-07
+    for t in (0.25, 0.25 + 2.0 ** -45, 0.25 - 2.0 ** -45):
+        with pytest.raises(RayCrash):
+            invert_green_coords(tm.target, (t, g))
+    thetas = [tm.vs.d(t) % 1.0 for t in
+              ((np.arange(64) + 0.5) / 64 + 1.0 / 9973.0).tolist()]
+    assert thetas.count(0.25) == 1
+    descend_rays_bulk(tm.target, [t for t in thetas if t != 0.25], g)
+    with pytest.raises(TargetRayCrash,
+                       match=re.escape("(0.25, 5.000493235500542e-07)")):
+        transported_boundary_distance(tm, n_rays=64, julia_depth=10)
+
+
+@pytest.fixture(scope="module")
+def transport_cases(pair_m3_m5):
+    return pair_m3_m5, _flat_onto_eighth()[0], _flat_onto_quarter()
+
+
+def _single_ray(tm, angle, g):
+    """The image of the source coordinate (angle, g) and its target point
+    or error, by `invert_green_coords` ray by ray and the +-2^-45 retry."""
+    theta, g = tm.vs.d(angle) % 1.0, tm.vs.k(g)
+    for t in (theta, (theta + 2.0 ** -45) % 1.0, (theta - 2.0 ** -45) % 1.0):
+        try:
+            return theta, g, invert_green_coords(tm.target, (t, g))
+        except RayCrash:
+            continue
+        except GreenrayError as err:
+            return theta, g, err
+    return theta, g, TargetRayCrash()
+
+
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+              st.integers(1, 63).map(lambda j: 0.125 + j / 4096),
+              st.integers(0, 63).map(lambda j: 0.25 + j / 4096)),
+    st.sampled_from([1e-4, 0.3, 0.5, 0.9, 1.3])), min_size=1, max_size=24))
+@settings(max_examples=40, deadline=None)
+def test_transport_levels_bit_equal_single_rays(transport_cases, coords):
+    # levels shared by several coordinates, crash images at G(0)/2 in the
+    # flat onto 1/8 (nudged) and at 1e-4 G(0) in the flat onto 1/4 (c = -2,
+    # TargetRayCrash): each result equals its ray's own, bit for bit
+    g0 = critical_potential(transport_cases[0].source)
+    angles, pots = [a for a, _ in coords], [u * g0 for _, u in coords]
+    for tm in transport_cases:
+        got = greenray.rectify._transport(tm, angles, pots)
+        want = map(partial(_single_ray, tm), angles, pots)
+        for theta, g, w, (theta1, g1, w1) in zip(*got, want, strict=True):
+            assert (theta, g) == (theta1, g1)
+            assert type(w) is type(w1)
+            if isinstance(w1, complex):
+                assert (w.real.hex(), w.imag.hex()) == \
+                    (w1.real.hex(), w1.imag.hex())
+
+
+def test_transport_descends_each_target_level_once(sys_0, monkeypatch):
+    # the chart scatters a ring's potential over a few ulps, and k, of
+    # slope 0.1 above 0.05, rounds them together: one batch per target
+    # potential, not one per source potential
+    k = PotentialHomeo(((0.0, 0.0), (0.05, 1.0), (1.0, 1.1)))
+    tm = TransportMap(sys_0, sys_0, VirtualStructure(CircleCDF.identity(), k))
+    pots = [log_bottcher(sys_0, z).potential for z in ring(sys_0, 0.05, 48)]
+    levels = set(map(k, pots))
+    assert len(levels) < len(set(pots))
+    calls = []
+    bulk = greenray.rectify.descend_rays_bulk
+    monkeypatch.setattr(greenray.rectify, "descend_rays_bulk",
+                        lambda sys_, thetas, g: calls.append(g)
+                        or bulk(sys_, thetas, g))
+    greenray.rectify._transport(tm, [0.1] * len(pots), pots)
+    assert sorted(calls) == sorted(levels)
+
+
 def test_convergence_batches_like_single_transports(monkeypatch):
     # a flat of d onto the level-1 access angle 1/8 and the dyadic k send a
     # ring at G(0)/2 onto target rays at their crash potential: those
@@ -718,8 +813,8 @@ def test_convergence_batches_like_single_transports(monkeypatch):
     samples = ring(tm.source, 0.5 * g0, 40) + points
     samples += [0.0j, 1.7 + 0.0j]               # on the skeleton: dropped
     calls = []
-    one = greenray.rectify._to_target
-    monkeypatch.setattr(greenray.rectify, "_to_target",
+    one = greenray.rectify._target_point
+    monkeypatch.setattr(greenray.rectify, "_target_point",
                         lambda *a: calls.append(1) or one(*a))
     n_list = [1, 3, 8, 64]
     rows = convergence_study(tm, n_list, samples)

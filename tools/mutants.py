@@ -52,8 +52,13 @@ MUTANTS = (
            "    if abs(c / (z * z)) >= 0.9:"),
     # a crashed target descent is retried on the rays +-2^-45 away
     Mutant("transport_no_retry", RECT,
-           "    for eps in (2.0 ** -45, -2.0 ** -45):",
-           "    for eps in ():"),
+           "    for t in (theta, (theta + 2.0 ** -45) % 1.0, "
+           "(theta - 2.0 ** -45) % 1.0):",
+           "    for t in (theta,):"),
+    # a target level whose batch descent raises is redone ray by ray
+    Mutant("transport_level_no_redo", RECT,
+           "        except GreenrayError:\n            ws = [_target_point(",
+           "        except ():\n            ws = [_target_point("),
     # a descent through a precritical point is RayCrash
     Mutant("precritical_guard_off", POT,
            "    guard = 1e-12 * max(1.0, abs(c))",
