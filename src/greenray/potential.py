@@ -467,17 +467,23 @@ def _ray_angle(sys: GreenSystem, theta, targets: list[float],
     return ang.frac1(t).as_integer_ratio()
 
 
+def _level_angle(p: int, q: int, j: int) -> tuple[float, bool, bool]:
+    """t_j = frac(2^j p/q), correctly rounded, and the flags t_j in (0, 1/2)
+    and t_j in (1/4, 3/4), by the exact integer rule r = (p << j) % q."""
+    r = (p << j) % q
+    return r / q, 0 < 2 * r < q, q < 4 * r < 3 * q
+
+
 def _angle_table(pq: list[tuple[int, int]], top: int):
-    """Angles t_j = frac(2^j p/q), correctly rounded, and the flags t_j in
-    (0, 1/2) and t_j in (1/4, 3/4): arrays by level j = 0..top and ray.
+    """`_level_angle` of every ray at every level j = 0..top: arrays of the
+    angles and of both flags by level and ray.
 
     When every q is a power of two and p < 2^53, each t = p/q is a double,
     and so is every t_j: scaling by 2^j is exact until it overflows, and
     so is `% 1.0`.  Then one broadcast of `np.ldexp(t, j) % 1.0` gives the
     whole table; past level 1000, where 2^j t could overflow, it goes on
     from t_1000 (t_j = frac(2^(j-1000) t_1000)).  Any other p/q takes the
-    integer rule r = (p << j) % q, with t_j = r/q and the flags tested on
-    the integers: the two rules agree wherever both apply.
+    integer rule: the two rules agree wherever both apply.
     """
     if all(p < 2 ** 53 and not q & (q - 1) and q.bit_length() <= 1075
            for p, q in pq):
@@ -486,10 +492,8 @@ def _angle_table(pq: list[tuple[int, int]], top: int):
         if top > 1000:
             t[1001:] = np.ldexp(t[1000], j[1001:] - 1000) % 1.0
         return t, (0.0 < t) & (t < 0.5), (0.25 < t) & (t < 0.75)
-    r = [[((p << j) % q, q) for p, q in pq] for j in range(top + 1)]
-    return (np.array([[a / q for a, q in row] for row in r]),
-            np.array([[0 < 2 * a < q for a, q in row] for row in r]),
-            np.array([[q < 4 * a < 3 * q for a, q in row] for row in r]))
+    cols = zip(*(_level_angle(p, q, j) for j in range(top + 1) for p, q in pq))
+    return tuple(np.reshape(col, (top + 1, len(pq))) for col in cols)
 
 
 def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
@@ -507,6 +511,15 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
     pass through a precritical point.  An empty target list, and targets
     above potential 300, raise InvalidInput.  Returns shape
     (len(targets), len(thetas)).
+
+    One ray at one target, the shape of every `invert_green_coords` and of
+    a one-coordinate transport, steps its levels on a Python complex
+    (`_descend_point`): numpy's per-call cost on one-element arrays would
+    outweigh a level's few flops.  Each step is the array loop's on one
+    element, with the root taken by `np.sqrt`, not `cmath.sqrt`, which
+    rounds some purely imaginary w - c differently, so the point and its
+    errors are the array loop's bit for bit.  Every other call takes the
+    array loop.
     """
     targets = [float(g) for g in targets]
     if not targets:
@@ -527,11 +540,14 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
         while math.ldexp(g, top) < G_FAR:
             top += 1
         ell.append(top)
+    c = sys.c
+    guard = 1e-12 * max(1.0, abs(c))
+    if len(pq) == 1 and len(targets) == 1:
+        return _descend_point(sys, *pq[0], targets[0], top, guard)
     t, upper, left = _angle_table(pq, top)
     w = _far_points(sys, t[ell], np.ldexp(targets, ell)[:, None])
 
-    c, real = sys.c, sys.is_real
-    guard = 1e-12 * max(1.0, abs(c))
+    real = sys.is_real
     hits = []
     for j in range(top - 1, -1, -1):
         # rows e: (the targets with L > j) step from level j + 1 to level j
@@ -554,6 +570,32 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
         raise RayCrash("ray passes through a precritical point",
                        crash_potential=math.ldexp(targets[r], -minus_j))
     return w
+
+
+def _descend_point(sys: GreenSystem, p: int, q: int, g: float, top: int,
+                   guard: float) -> np.ndarray:
+    """`_descend`'s level loop for the one ray p/q at the one target g,
+    from level `top`, on Python scalars; shape (1, 1).
+
+    `_level_angle` gives the angle table's entries.  The precritical guard
+    reads every level's |w - c| after the loop, by the array loop's
+    `np.abs`, and the first hit from the top names the crash potential.
+    """
+    w = complex(_far_points(sys, np.array([_level_angle(p, q, top)[0]]),
+                            np.array([math.ldexp(g, top)]))[0])
+    c = sys.c
+    dzs = []
+    for j in range(top - 1, -1, -1):
+        dz = w - c
+        dzs.append(dz)
+        s = complex(np.sqrt(dz))
+        w = s if _same_side(c, s, *_level_angle(p, q, j)) else -s
+    near = np.abs(dzs) <= guard
+    if near.any():
+        j = top - 1 - int(near.argmax())
+        raise RayCrash("ray passes through a precritical point",
+                       crash_potential=math.ldexp(g, j))
+    return np.array([[w]])
 
 
 def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,

@@ -20,7 +20,7 @@ from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
                              RayCrash)
 from greenray.potential import (G_FAR, MAX_JULIA_DEPTH, GreenSystem,
                                 _angle_table, _crash_level, _descend,
-                                _far_points, _ray_angle,
+                                _far_points, _level_angle, _ray_angle,
                                 critical_potential, descend_rays_bulk,
                                 escape_green, escape_green_bulk,
                                 invert_green_coords,
@@ -1084,6 +1084,115 @@ def test_boundary_descent_pinned_bit_equal(sys_m5):
     w = descend_rays_bulk(sys_m5, thetas, 1e-4 * critical_potential(sys_m5))
     assert hashlib.sha256(w.tobytes()).hexdigest() == (
         "bf1e4327cd82ed887f7361106f042937f4d9cbe7ab9bd7687fba073a9c55733f")
+
+
+# ---------------------------------------------------------------------------
+# one ray at one target: the point step against the array loop
+# ---------------------------------------------------------------------------
+
+_POINT_SYSTEMS = [(-3.0, None), (-1.0, None), (0.0, None), (-2.0, None),
+                  (-3 + 0.5j, Fraction(1, 6))]
+
+
+@st.composite
+def _point_case(draw, sys_):
+    """An angle (dyadic, a critical access or a float 2^-48 off one, or
+    random) and a potential in [1e-4, 16] G(0) (G(0) read as 1/2 when
+    connected), or a crash potential G(0)/2^n, exact or a few ulps off."""
+    tc = sys_.critical_value_angle or Fraction(1, 2)
+    access = st.builds(
+        lambda n, k: Fraction(tc.numerator + tc.denominator * k,
+                              tc.denominator * 2 ** (n + 1)),
+        st.integers(0, 6), st.integers(0, 127))
+    theta = draw(
+        st.builds(Fraction, st.integers(0, 4095), st.just(4096))
+        | access
+        | st.builds(lambda a, side: (float(a) + side * 2.0 ** -48) % 1.0,
+                    access, st.sampled_from([-1, 1]))
+        | st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    g0 = sys_._g0 if sys_.is_cantor else 0.5
+    g = draw(st.floats(min_value=1e-4 * g0, max_value=16.0 * g0)
+             | st.builds(lambda n, ulps: g0 / 2 ** n * (1.0 + ulps * 2e-16),
+                         st.integers(0, 8), st.integers(-8, 8)))
+    return theta, g
+
+
+def _point_angle(rng: random.Random, sys_) -> Fraction | float:
+    """`_point_case`'s kinds of angle, from `rng`."""
+    tc = sys_.critical_value_angle or Fraction(1, 2)
+    n, k = rng.randrange(7), rng.randrange(128)
+    access = Fraction(tc.numerator + tc.denominator * k,
+                      tc.denominator * 2 ** (n + 1))
+    return rng.choice([Fraction(rng.randrange(4096), 4096), access,
+                       (float(access) + rng.choice([-1, 1]) * 2.0 ** -48) % 1.0,
+                       rng.random()])
+
+
+def _point_outcome(descend, *args):
+    """Points as int64 bits (two per point), or the error's type and crash
+    potential."""
+    try:
+        w = np.atleast_1d(descend(*args))
+    except (RayCrash, AngleUnresolved, InvalidInput) as exc:
+        return type(exc), getattr(exc, "crash_potential", None)
+    return w.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("c, tc", _POINT_SYSTEMS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_descent_bit_equal_batch(c, tc, data):
+    # a single point steps on Python scalars, a batch on arrays: in a batch
+    # of 64 rays the point is the ray's column, and in a batch of 64 copies
+    # of the ray its error is the single point's error
+    sys_ = GreenSystem.from_c(c, critical_value_angle=tc)
+    theta, g = data.draw(_point_case(sys_), label="point")
+    # the other rays: angles of the same kinds, drawn from one seed
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    others = [_point_angle(rng, sys_) for _ in range(63)]
+    single = _point_outcome(invert_green_coords, sys_, (theta, g))
+    copies = _point_outcome(descend_rays_bulk, sys_, [theta] * 64, g)
+    if isinstance(single, tuple):
+        assert copies == single
+    else:
+        assert copies == single * 64
+    batch = _point_outcome(descend_rays_bulk, sys_, [theta] + others, g)
+    singles = [_point_outcome(invert_green_coords, sys_, (t, g))
+               for t in [theta] + others]
+    if isinstance(batch, tuple):
+        # the batch raises one of its rays' errors
+        assert batch in singles
+    else:
+        assert batch == [bit for bits in singles for bit in bits]
+
+
+def test_point_descent_square_root_pinned_bit_equal(sys_0):
+    # at level 3 of this descent w - c = -1.0014696697658854j, purely
+    # imaginary, where cmath.sqrt rounds the imaginary part of the root one
+    # ulp off np.sqrt's; the point step must keep the array loop's root
+    g = 9.178692863985065e-05
+    assert np.sqrt(-1.0014696697658854j) != cmath.sqrt(-1.0014696697658854j)
+    z = invert_green_coords(sys_0, (Fraction(11, 64), g))
+    batch = descend_rays_bulk(sys_0, [Fraction(k, 64) for k in range(64)], g)
+    assert z == batch[11]
+    assert (z.real.hex(), z.imag.hex()) == ("0x1.e2c12b4e234ffp-2",
+                                            "0x1.c395cb693c568p-1")
+
+
+@pytest.mark.parametrize("top", [64, 1080])
+def test_angle_table_integer_rule_bit_equal_broadcast(top):
+    # every angle dyadic with p < 2^53: `_angle_table` broadcasts floats,
+    # and each entry must equal `_level_angle`'s integer rule
+    rng = np.random.default_rng(24)
+    xs = _TABLE_ANGLES + rng.random(16).tolist()
+    pq = [frac1(Fraction(x)).as_integer_ratio() for x in xs]
+    pq += [(2 ** 53 - k, 2 ** 53) for k in (1, 3, 5)]
+    pq += [(2 ** 53 - 1, 2 ** m) for m in (54, 60, 1074)]
+    t, upper, left = _angle_table(pq, top)
+    for j in range(top + 1):
+        for i, (p, q) in enumerate(pq):
+            tj, up, lf = _level_angle(p, q, j)
+            assert (t[j, i].hex(), upper[j, i], left[j, i]) == (tj.hex(), up, lf)
 
 
 # ---------------------------------------------------------------------------

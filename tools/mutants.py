@@ -7,6 +7,9 @@ itself is never edited.  Tier-1 must first pass on an unmutated copy, or
 the run stops.  A mutant is killed when the run fails and its first failing
 test passes again once the mutant is undone; a run that fails for another
 reason (a runtime budget overrun, say) reads "unclear", not killed.
+Mutant runs leave out the static dead-name test (`STATIC`), which a mutant
+can fail by leaving a private name unread: a kill names a behaviour test.
+SIGTERM ends a run as an exit does, so its temporary copy is removed.
 
     python tools/mutants.py              # every mutant, then a table
     python tools/mutants.py --check      # each text occurs once; no tests
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # what the copy leaves out: version control and run leftovers
 SKIP = (".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out",
         ".bench_build", ".benchmarks", "out")
+# a static test that fails on the code's text, not on what it does
+STATIC = "tests/test_private_names.py::test_no_dead_private_names"
 
 
 class Mutant(NamedTuple):
@@ -63,6 +69,10 @@ MUTANTS = (
     Mutant("precritical_guard_off", POT,
            "    guard = 1e-12 * max(1.0, abs(c))",
            "    guard = 0.0 * max(1.0, abs(c))"),
+    # ... also on the one-ray, one-target point step
+    Mutant("point_precritical_guard_off", POT,
+           "    near = np.abs(dzs) <= guard",
+           "    near = np.abs(dzs) < 0.0"),
     # a target exactly at an access's crash potential is RayCrash
     Mutant("crash_potential_off", POT,
            "    at_crash = any(abs(g - gp) <= sys.tol for g in targets)",
@@ -112,14 +122,14 @@ def copy_repo(tmp: str) -> Path:
     return repo
 
 
-def pytest(repo: Path, *ids: str) -> tuple[bool, str]:
-    """(passed, the first failing test or '') of tier-1, or of `ids`, in
-    `repo`."""
+def pytest(repo: Path, *args: str) -> tuple[bool, str]:
+    """(passed, the first failing test or '') of tier-1 in `repo`, with
+    extra pytest `args` (test ids, `--deselect`)."""
     env = dict(os.environ, PYTHONPATH=str(repo / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-         "no:cacheprovider", "--continue-on-collection-errors", *ids],
+         "no:cacheprovider", "--continue-on-collection-errors", *args],
         cwd=repo, env=env, capture_output=True, text=True)
     first = next((line.split(" ", 1)[1].split(" - ")[0]
                   for line in proc.stdout.splitlines()
@@ -136,7 +146,7 @@ def run_one(m: Mutant) -> tuple[str, str, float]:
         target.write_text(text.replace(m.text, m.replacement, 1),
                           encoding="utf-8")
         t0 = time.perf_counter()
-        passed, first = pytest(repo)
+        passed, first = pytest(repo, "--deselect", STATIC)
         secs = time.perf_counter() - t0
         if passed:
             return "SURVIVED", "", secs
@@ -151,6 +161,7 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="only check that each mutant's text occurs once")
     args = ap.parse_args(argv)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     bad = check_texts()
     for line in bad:
         print(line, file=sys.stderr)
