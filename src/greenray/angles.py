@@ -137,15 +137,15 @@ def cylinder_angles(window: Window, pair: tuple[Number, Number],
     Fraction 1 is the exit access, glued to the seam; a fraction outside
     [0, 1] is InvalidInput.
     """
-    pieces = _from_seam(window, pair)
+    pieces = [(lo, hi - lo) for lo, hi in _from_seam(window, pair)]
     total = window_measure(window)
     out = []
     for f in fractions:
         if not 0 <= f <= 1:
             raise InvalidInput(f"fraction {f} is outside [0, 1]")
         s = total * f
-        for lo, hi in pieces:
-            if s <= (width := hi - lo):
+        for lo, width in pieces:
+            if s <= width:
                 out.append(lo + s)
                 break
             s -= width

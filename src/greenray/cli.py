@@ -38,7 +38,7 @@ GOLDEN = 0.6180339887498949
 # Caps on `tree --depth` and `tree --skeleton`.  A depth-D tree has
 # 2^(D+1) - 1 nodes and a depth-D skeleton as many arcs, so each level
 # doubles the run: at c = -3 on a 2-core machine a depth-15 tree took
-# 3.7 s to build and a depth-8 skeleton 0.8 s.
+# 3.7 s to build, and a depth-8 skeleton 0.03 s (depth 12: 0.55 s).
 MAX_TREE_DEPTH = 16
 MAX_SKELETON_DEPTH = 12
 # Cap on `green --nx` and `--ny`.  The grid is one batch and its CSV is

@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -444,7 +445,7 @@ def _ray_angle(sys: GreenSystem, theta, targets: list[float],
     or infinite angle raises InvalidInput.
     """
     if isinstance(theta, Fraction):
-        t = ang.frac1(theta)
+        t = theta if 0 <= theta < 1 else ang.frac1(theta)
     elif math.isfinite(theta):
         t = float(theta) % 1.0
     else:
@@ -474,7 +475,7 @@ def _level_angle(p: int, q: int, j: int) -> tuple[float, bool, bool]:
     return r / q, 0 < 2 * r < q, q < 4 * r < 3 * q
 
 
-def _angle_table(pq: list[tuple[int, int]], top: int):
+def _angle_table(pq: list[tuple[int, int]] | None, top: int, t=None):
     """`_level_angle` of every ray at every level j = 0..top: arrays of the
     angles and of both flags by level and ray.
 
@@ -483,17 +484,54 @@ def _angle_table(pq: list[tuple[int, int]], top: int):
     so is `% 1.0`.  Then one broadcast of `np.ldexp(t, j) % 1.0` gives the
     whole table; past level 1000, where 2^j t could overflow, it goes on
     from t_1000 (t_j = frac(2^(j-1000) t_1000)).  Any other p/q takes the
-    integer rule: the two rules agree wherever both apply.
+    integer rule: the two rules agree wherever both apply.  A column `t`
+    of the floats p/q, when the caller has one, stands for the pairs.
     """
-    if all(p < 2 ** 53 and not q & (q - 1) and q.bit_length() <= 1075
-           for p, q in pq):
+    if t is None and all(p < 2 ** 53 and not q & (q - 1)
+                         and q.bit_length() <= 1075 for p, q in pq):
+        t = [p / q for p, q in pq]
+    if t is not None:
         j = np.arange(top + 1)[:, None]
-        t = np.ldexp([p / q for p, q in pq], np.minimum(j, 1000)) % 1.0
+        t = np.ldexp(t, np.minimum(j, 1000)) % 1.0
         if top > 1000:
             t[1001:] = np.ldexp(t[1000], j[1001:] - 1000) % 1.0
         return t, (0.0 < t) & (t < 0.5), (0.25 < t) & (t < 0.75)
     cols = zip(*(_level_angle(p, q, j) for j in range(top + 1) for p, q in pq))
     return tuple(np.reshape(col, (top + 1, len(pq))) for col in cols)
+
+
+def _float_column(sys: GreenSystem, thetas, targets: list[float]):
+    """Two or more finite float angles mod 1 as one array, unless a
+    conservative screen finds one that `_ray_angle` may move or refuse:
+    then None.  t = p/2^k (p odd) is an access angle iff theta_c = a/2^s,
+    k > s and p == a (mod 2^s), and `_ray_angle` acts on it only if
+    targets[-1] - G(0)/2^(k-s-1) <= tol, float subtraction being monotone.
+    An angle that is not a real number is InvalidInput."""
+    col = np.asarray(thetas) if len(thetas) > 1 else None
+    if col is None or col.ndim != 1 or col.dtype.kind not in "fiub":
+        _require_real(thetas, "angle")
+    if col is None or col.dtype.kind != "f" or not np.isfinite(col).all():
+        return None
+    t, tc = col.astype(float) % 1.0, sys.critical_value_angle
+    if not sys.is_cantor or tc.denominator & (tc.denominator - 1):
+        return t                                # no float is an access angle
+    m, e = np.frexp(t)
+    mant = np.ldexp(m, 53).astype(np.int64)     # t = mant 2^(e - 53)
+    z = np.frexp(mant & -mant)[1] - 1           # its trailing zero bits
+    k, s = 53 - e - z, tc.denominator.bit_length() - 1
+    p = mant >> np.maximum(z, 0)
+    crash = ((k > s) & (p % tc.denominator == tc.numerator)
+             & (targets[-1] - np.ldexp(sys._g0, s + 1 - k) <= sys.tol))
+    return None if crash.any() else t
+
+
+def _require_real(xs, what: str):
+    """`xs`, or InvalidInput naming the first that is not a real number
+    (float and int are tried before the slower check of the ABC)."""
+    for x in xs:
+        if not isinstance(x, (float, int, numbers.Real)):
+            raise InvalidInput(f"{what} {x!r} is not a real number")
+    return xs
 
 
 def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
@@ -508,9 +546,11 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
     AngleUnresolved where some |c/w_j^2| >= 1/2.
     `thetas` are Fractions or floats; the crash rule is `_ray_angle`'s, and
     RayCrash is also raised where some |w - c| <= 1e-12 max(1, |c|), a
-    pass through a precritical point.  An empty target list, and targets
-    above potential 300, raise InvalidInput.  Returns shape
-    (len(targets), len(thetas)).
+    pass through a precritical point.  An empty target list, targets
+    above potential 300, and an angle that is not a real number raise
+    InvalidInput.  Returns shape (len(targets), len(thetas)).
+    A float batch that `_float_column`'s conservative crash screen clears
+    skips `_ray_angle`, which would leave each of its angles as it is.
 
     One ray at one target, the shape of every `invert_green_coords` and of
     a one-coordinate transport, steps its levels on a Python complex
@@ -530,9 +570,11 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
         raise InvalidInput("target potentials must be non-increasing")
     if targets[0] > G_MAX:
         raise InvalidInput("potential too large for the float chart range")
-    pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
-    if not pq:
-        return np.empty((len(targets), 0), dtype=complex)
+    col, pq = _float_column(sys, thetas, targets), None
+    if col is None:
+        pq = [_ray_angle(sys, t, targets, crash_side) for t in thetas]
+        if not pq:
+            return np.empty((len(targets), 0), dtype=complex)
 
     # start level of each target, non-decreasing down the targets
     ell, top = [], 0
@@ -542,9 +584,9 @@ def _descend(sys: GreenSystem, thetas, targets: Sequence[float],
         ell.append(top)
     c = sys.c
     guard = 1e-12 * max(1.0, abs(c))
-    if len(pq) == 1 and len(targets) == 1:
+    if col is None and len(pq) == 1 and len(targets) == 1:
         return _descend_point(sys, *pq[0], targets[0], top, guard)
-    t, upper, left = _angle_table(pq, top)
+    t, upper, left = _angle_table(pq, top, col)
     w = _far_points(sys, t[ell], np.ldexp(targets, ell)[:, None])
 
     real = sys.is_real
@@ -610,7 +652,8 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
     above potential 300, past the float range of the chart.  Branches follow
     `_descend`'s rule ray by ray, so each point equals the single-ray
     result bit for bit.  Angles that are not one sequence of numbers, such
-    as a 2-D array, are InvalidInput before any work.
+    as a 2-D array, and an angle or potential that is not a real number
+    are InvalidInput before any work.
     """
     try:
         shape = np.shape(thetas)
@@ -618,7 +661,8 @@ def descend_rays_bulk(sys: GreenSystem, thetas: Sequence[float] | np.ndarray,
         shape = "(ragged)"
     if len(shape) != 1:
         raise InvalidInput(f"angles must be one-dimensional, got shape {shape}")
-    return _descend(sys, thetas, [g_target], crash_side=+1)[0]
+    return _descend(sys, thetas, _require_real([g_target], "potential"),
+                    crash_side=+1)[0]
 
 
 def invert_green_coords(sys: GreenSystem, gc: GreenCoordinate | tuple) -> complex:
@@ -626,10 +670,12 @@ def invert_green_coords(sys: GreenSystem, gc: GreenCoordinate | tuple) -> comple
 
     For an exact critical access angle below its crash potential the
     counterclockwise one-sided limit is returned (documented convention);
-    exactly at the crash potential RayCrash is raised.
+    exactly at the crash potential RayCrash is raised.  An angle or
+    potential that is not a real number is InvalidInput.
     """
     theta, g = gc
-    return complex(_descend(sys, [theta], [g], crash_side=+1)[0, 0])
+    return complex(_descend(sys, [theta], _require_real([g], "potential"),
+                            crash_side=+1)[0, 0])
 
 
 class RayPoint(NamedTuple):
@@ -642,6 +688,7 @@ def trace_ray(sys: GreenSystem, angle, g_lo: float, g_hi: float,
               n_samples: int) -> list[RayPoint]:
     """Sample the external ray between two potentials (geometric steps,
     monotonically decreasing from g_hi to g_lo)."""
+    _require_real((g_lo, g_hi), "potential")
     if not (0.0 < g_lo < g_hi):
         raise InvalidInput("require 0 < g_lo < g_hi")
     if n_samples < 2:
@@ -665,7 +712,8 @@ def trace_equipotential(sys: GreenSystem, g: float,
 
     There are 2^k Jordan curves when k critical potentials lie above g; each
     is sampled at n_samples equal steps of harmonic measure (its angle
-    window).  The first point is not repeated at the end.
+    window).  The first point is not repeated at the end.  Whole curves
+    descend together, at most 2^14 rays (or one curve) to a batch.
     """
     if not g > 0.0:
         raise InvalidInput("potential must be positive")
@@ -680,11 +728,13 @@ def trace_equipotential(sys: GreenSystem, g: float,
     steps = [Fraction(2 * i + 1, 2 * n_samples) for i in range(n_samples)]
     if k == 0:
         return [descend_rays_bulk(sys, steps, g).tolist()]
-    levels = ang.level_windows(sys.critical_value_angle, k)
-    curves = []
-    for node in levels[k]:
-        thetas = ang.cylinder_angles(node.window, node.outer_pair, steps)
-        curves.append(descend_rays_bulk(sys, thetas, g).tolist())
+    nodes = ang.level_windows(sys.critical_value_angle, k)[k]
+    per_batch, curves = max(1, 2 ** 14 // n_samples), []
+    for b in range(0, len(nodes), per_batch):
+        thetas = [t for node in nodes[b:b + per_batch] for t in
+                  ang.cylinder_angles(node.window, node.outer_pair, steps)]
+        pts = descend_rays_bulk(sys, thetas, g).tolist()
+        curves += [pts[i:i + n_samples] for i in range(0, len(pts), n_samples)]
     return curves
 
 
@@ -737,6 +787,8 @@ def skeleton(sys: GreenSystem, depth: int) -> list[SkeletonArc]:
     +sqrt(q - c) lies in arc 0 and -sqrt(q - c) in arc 1, and a level-n
     point's address is the n low bits of its index in its level, least
     significant first.  Other Cantor parameters raise AngleUnresolved.
+    Arcs whose points share a potential descend together, one `_descend`
+    per side, each column bit for bit its arc's own descent.
     """
     if not sys.is_cantor:
         return []
@@ -746,19 +798,24 @@ def skeleton(sys: GreenSystem, depth: int) -> list[SkeletonArc]:
             "parameters off the real ray c < -2 are unsupported")
     levels = ang.level_windows(sys.critical_value_angle, depth)
     by_address = {node.address: node for layer in levels for node in layer}
-    arcs: list[SkeletonArc] = []
-    for j, pc in enumerate(precritical_points(sys, depth)):
+    points = precritical_points(sys, depth)
+    pairs, groups = [], {}
+    for j, pc in enumerate(points):
         i = j + 1 - (1 << pc.level)         # the index in its level
-        node = by_address[tuple(i >> k & 1 for k in range(pc.level))]
-        a1, a2 = node.inner_pair
+        pairs.append(by_address[tuple(i >> k & 1 for k in range(pc.level))]
+                     .inner_pair)
+        groups.setdefault(pc.potential, []).append(j)
+    polys = {}
+    for g, ids in groups.items():
         # 24 potentials below the point's, each 2^(-3/23) times the last
-        pots = [pc.potential * (0.5 ** (3.0 * k / 23)) for k in range(1, 25)]
-        plus = _descend(sys, [a1], pots, crash_side=+1)[:, 0].tolist()
-        minus = _descend(sys, [a1], pots, crash_side=-1)[:, 0].tolist()
-        poly = tuple(reversed(minus)) + (pc.point,) + tuple(plus)
-        arcs.append(SkeletonArc(pc.point, pc.potential, pc.level,
-                                (a1, a2), poly))
-    return arcs
+        pots = [g * (0.5 ** (3.0 * k / 23)) for k in range(1, 25)]
+        a1s = [pairs[j][0] for j in ids]
+        plus = _descend(sys, a1s, pots, crash_side=+1).T.tolist()
+        minus = _descend(sys, a1s, pots, crash_side=-1).T.tolist()
+        for j, pl, mi in zip(ids, plus, minus):
+            polys[j] = tuple(reversed(mi)) + (points[j].point,) + tuple(pl)
+    return [SkeletonArc(pc.point, pc.potential, pc.level, pairs[j], polys[j])
+            for j, pc in enumerate(points)]
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,18 @@ def test_converge_csv_pinned(tmp_path, structure, digest):
     assert sha256((out / "converge.csv").read_bytes()).hexdigest() == digest
 
 
+# sha256 of `tree --c -3 --depth 6 --skeleton 4`'s skeleton.csv, taken
+# with one descent per arc and side; the same bytes with every SIMD target
+# off.  (The README `equipot` line's equipot.csv is not pinned: its bytes
+# change with the SIMD targets.)
+def test_skeleton_csv_pinned(tmp_path):
+    out = tmp_path / "t"
+    assert run(["--output-dir", out, "tree", "--c", "-3", "--depth", "6",
+                "--skeleton", "4"]) == 0
+    assert sha256((out / "skeleton.csv").read_bytes()).hexdigest() == \
+        "791491b7790c0608054afdbe7100e63c2ae36c127b58af5b17462d2f0ea92517"
+
+
 def assert_rejected(code, capsys, name, out):
     """Exit 1, one `error: <name>:` line, and no file written."""
     assert code == 1

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenray.potential
-from greenray.angles import circ_dist, frac1, level_windows
+from greenray.angles import (circ_dist, cylinder_angles, frac1,
+                             level_windows)
 from greenray.errors import (AngleUnresolved, Connected, CriticalLevel,
-                             InsideK, InvalidInput, NonFinite, OnSkeleton,
-                             RayCrash)
+                             GreenrayError, InsideK, InvalidInput, NonFinite,
+                             OnSkeleton, RayCrash)
 from greenray.potential import (G_FAR, MAX_JULIA_DEPTH, GreenSystem,
                                 _angle_table, _crash_level, _descend,
+                                _float_column,
                                 _far_points, _level_angle, _ray_angle,
                                 critical_potential, descend_rays_bulk,
                                 escape_green, escape_green_bulk,
@@ -422,6 +424,31 @@ def test_nonfinite_angle_is_invalid_input(sys_m3, bad):
         descend_rays_bulk(sys_m3, [0.1, bad], 0.1)
     with pytest.raises(InvalidInput, match="is not finite"):
         trace_ray(sys_m3, bad, 0.1, 1.0, 4)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda s: invert_green_coords(s, (None, 0.5)), "angle None"),
+    (lambda s: invert_green_coords(s, ("0.1", 0.5)), "angle '0.1'"),
+    (lambda s: invert_green_coords(s, (0.1j, 0.5)), "angle 0.1j"),
+    (lambda s: invert_green_coords(s, ([0.1, 0.2], 0.5)), "angle [0.1, 0.2]"),
+    (lambda s: invert_green_coords(s, (0.1, "0.5")), "potential '0.5'"),
+    (lambda s: descend_rays_bulk(s, ["0.1", 0.2], 0.5), "angle '0.1'"),
+    (lambda s: descend_rays_bulk(s, [Fraction(1, 3), None], 0.5),
+     "angle None"),
+    (lambda s: descend_rays_bulk(s, [0.1, 0.2], "0.5"), "potential '0.5'"),
+    (lambda s: descend_rays_bulk(s, [0.1, 0.2], [0.5]), "potential [0.5]"),
+    (lambda s: trace_ray(s, "0.1", 0.1, 0.5, 4), "angle '0.1'"),
+    (lambda s: trace_ray(s, 0.1, "0.1", 0.5, 4), "potential '0.1'"),
+    (lambda s: trace_ray(s, 0.1, 0.1, None, 4), "potential None"),
+], ids=["none_angle", "str_angle", "complex_angle", "list_angle",
+        "str_potential", "bulk_str_angle", "bulk_none_angle",
+        "bulk_str_potential", "bulk_list_potential", "ray_str_angle",
+        "ray_str_potential", "ray_none_potential"])
+def test_non_real_descent_input_is_invalid_input(sys_m3, call, named):
+    # these raised a bare TypeError, and a string potential was parsed
+    with pytest.raises(InvalidInput,
+                       match=re.escape(f"{named} is not a real number")):
+        call(sys_m3)
 
 
 @pytest.mark.parametrize("angle", [0.1, -0.3, 1.7, 2.0 ** -60, -2.0 ** -60])
@@ -1087,6 +1114,122 @@ def test_boundary_descent_pinned_bit_equal(sys_m5):
 
 
 # ---------------------------------------------------------------------------
+# the float crash screen: a float batch skips `_ray_angle` when no ray needs it
+# ---------------------------------------------------------------------------
+
+# theta_c = 1/2 (real c; also read for connected c, where nothing crashes),
+# 1/4 (b a power of two, off the real ray) and 1/6 (b not: no float is an
+# access angle)
+_SCREEN_SYSTEMS = [(-3.0, None), (-5.0, None), (-1.0, None), (0.0, None),
+                   (-0.47727 + 3.28579j, Fraction(1, 4)),
+                   (-3 + 0.5j, Fraction(1, 6))]
+
+
+@st.composite
+def _screen_case(draw, sys_):
+    """Float angles: random ones, and critical access angles of levels
+    0..60 that are exact floats, mostly of levels at or past a level n;
+    targets with the last at, just above or just below the crash potential
+    G(0)/2^n of level n (G(0) read as 1/2 when connected); a crash side."""
+    tc = sys_.critical_value_angle or Fraction(1, 2)
+    a, b = tc.numerator, tc.denominator
+    g0 = sys_._g0 if sys_.is_cantor else 0.5
+    n = draw(st.integers(0, 60), label="level")
+    accesses = draw(st.booleans(), label="accesses")
+    xs = []
+    for _ in range(draw(st.integers(2, 40), label="rays")):
+        if not accesses or draw(st.booleans()):
+            xs.append(draw(st.floats(min_value=-1.0, max_value=2.0,
+                                     exclude_max=True)))
+            continue
+        m = draw(st.integers(n, 60) | st.integers(0, 60))
+        k = draw(st.integers(0, min(2 ** (m + 1) - 1, 2 ** 50)))
+        xs.append(float(Fraction(a + b * k, b << (m + 1))))
+    gp = math.ldexp(g0, -n)
+    # within tol of gp, tol away, a hair past tol, or a few ulps off gp
+    off = [sign * f * sys_.tol for f in (0.0, 0.5, 1.0, 1.0 + 2.0 ** -40, 2.0)
+           for sign in (1, -1)]
+    ulps = [gp * (1.0 + 2.0 ** -50), gp * (1.0 - 2.0 ** -50)]
+    g = draw(st.sampled_from([gp + d for d in off] + ulps))
+    g = g if g > 0.0 else gp
+    above = draw(st.floats(min_value=1.0, max_value=8.0))
+    targets = draw(st.sampled_from([[g], [g * above, g]]))
+    return xs, targets, draw(st.sampled_from([None, 1, -1]))
+
+
+def _first_failure(sys_, xs, targets, side):
+    """The error of a batch by the per-ray rule: the first ray whose
+    `_ray_angle` raises, else the first ray whose descent raises."""
+    for x in xs:
+        try:
+            _ray_angle(sys_, x, targets, side)
+        except GreenrayError as exc:
+            return type(exc), getattr(exc, "level", None), \
+                getattr(exc, "crash_potential", None)
+    return next(one for one in (_descent_outcome(_descend, sys_, [x], targets,
+                                                 side) for x in xs)
+                if isinstance(one[0], type))
+
+
+@pytest.mark.parametrize("c, tc", _SCREEN_SYSTEMS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_screen_bit_equal(c, tc, data):
+    # each column of a float batch is its ray's single-ray descent, and a
+    # batch that raises raises its first failing ray's error
+    sys_ = GreenSystem.from_c(c, critical_value_angle=tc)
+    xs, targets, side = data.draw(_screen_case(sys_), label="case")
+    batch = _descent_outcome(_descend, sys_, xs, targets, side)
+    if isinstance(batch[0], type):
+        assert batch == _first_failure(sys_, xs, targets, side)
+        return
+    singles = [_descent_outcome(_descend, sys_, [x], targets, side)
+               for x in xs]
+    assert batch == ((len(targets), len(xs)), np.concatenate(
+        [np.array(one[1]) for one in singles], axis=1).tolist())
+
+
+@pytest.mark.parametrize("c, tc", _SCREEN_SYSTEMS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_screen_leaves_out_only_exact_rays_bit_equal(c, tc, data):
+    # the screen never under-selects: `_ray_angle` gives every ray it
+    # leaves out (a batch of two copies of the ray passes) exactly that
+    # float's p/q, and raises for none of them; a batch passes when each
+    # of its rays does
+    sys_ = GreenSystem.from_c(c, critical_value_angle=tc)
+    xs, targets, side = data.draw(_screen_case(sys_), label="case")
+    passed = []
+    for x in xs:
+        passed.append(_float_column(sys_, [x, x], targets) is not None)
+        if passed[-1]:
+            assert _ray_angle(sys_, x, targets, side) == \
+                (x % 1.0).as_integer_ratio()
+    col = _float_column(sys_, xs, targets)
+    assert (col is not None) == all(passed)
+    if col is not None:
+        assert col.tolist() == [x % 1.0 for x in xs]
+
+
+def test_float_screen_keeps_every_crashing_access_bit_equal(sys_m3):
+    # every access of levels 0..10, at a target exactly at, or below, its
+    # crash potential, is screened out; a float batch of them raises as
+    # Fractions do, and one above every crash potential passes
+    g0 = critical_potential(sys_m3)
+    for n in range(11):
+        xs = [(2 * k + 1) / 2 ** (n + 2) for k in range(2 ** (n + 1))]
+        for g in (g0 / 2 ** n, g0 / 2 ** (n + 1)):
+            assert all(_float_column(sys_m3, [x, x], [g]) is None for x in xs)
+            assert _descent_outcome(_descend, sys_m3, xs, [g], None) == \
+                _descent_outcome(_descend, sys_m3, list(map(Fraction, xs)),
+                                 [g], None)
+        assert _float_column(sys_m3, xs, [1.5 * g0]) is not None
+    # theta_c = 1/6: no float is an access angle
+    sys_ = GreenSystem.from_c(-3 + 0.5j, critical_value_angle=Fraction(1, 6))
+    assert _float_column(sys_, np.linspace(0.0, 1.0, 97), [1e-9]) is not None
+
+
+# ---------------------------------------------------------------------------
 # one ray at one target: the point step against the array loop
 # ---------------------------------------------------------------------------
 
@@ -1222,6 +1365,37 @@ def test_equipotential_component_counts(sys_m3):
                 assert abs(gg - g) <= sys_m3.tol
 
 
+def _equipotential_per_curve(sys_, g, n_samples):
+    """`trace_equipotential` curve by curve, one `descend_rays_bulk` each."""
+    k, pot = 0, sys_._g0
+    while sys_.is_cantor and pot > g - sys_.tol:
+        k, pot = k + 1, pot * 0.5
+    steps = [Fraction(2 * i + 1, 2 * n_samples) for i in range(n_samples)]
+    if k == 0:
+        return [descend_rays_bulk(sys_, steps, g).tolist()]
+    return [descend_rays_bulk(sys_, cylinder_angles(node.window,
+                                                    node.outer_pair, steps),
+                              g).tolist()
+            for node in level_windows(sys_.critical_value_angle, k)[k]]
+
+
+@pytest.mark.parametrize("c, g, n_samples", [
+    (-3.0, 0.05, 32), (-5.0, 0.3, 40), (-2.5, 0.011, 24), (0.0, 0.2, 16),
+    # 32 curves of 600 rays: 27 curves to a 2^14-ray block, then 5
+    (-3.0, 0.02, 600),
+    # 2 curves of 2^14 + 1 rays: one curve to a block
+    (-3.0, 0.3, 2 ** 14 + 1)])
+def test_equipotential_bit_equal_per_curve(c, g, n_samples):
+    # curves descend together in blocks of whole curves; each point must
+    # be the one its curve's own descent gives
+    sys_ = GreenSystem.from_c(c)
+    curves = trace_equipotential(sys_, g, n_samples)
+    oracle = _equipotential_per_curve(sys_, g, n_samples)
+    assert [len(curve) for curve in curves] == [n_samples] * len(oracle)
+    assert np.array(curves).view(np.int64).tolist() == \
+        np.array(oracle).view(np.int64).tolist()
+
+
 def test_equipotential_critical_level_raises(sys_m3):
     g0 = critical_potential(sys_m3)
     with pytest.raises(CriticalLevel):
@@ -1352,6 +1526,31 @@ def test_skeleton_cells_match_mp_itinerary(c, depth):
     for arc, (point, pair) in zip(arcs, oracle):
         assert abs(arc.precritical_point - point) <= 1e-12 * abs(c)
         assert arc.access_angles == pair
+
+
+def _skeleton_per_arc(sys_, depth):
+    """Polylines of `skeleton`'s arcs, two `_descend` calls per arc."""
+    cells = {node.address: node.inner_pair for level in
+             level_windows(sys_.critical_value_angle, depth) for node in level}
+    polys = []
+    for j, pc in enumerate(precritical_points(sys_, depth)):
+        i = j + 1 - (1 << pc.level)
+        a1, _ = cells[tuple(i >> k & 1 for k in range(pc.level))]
+        pots = [pc.potential * (0.5 ** (3.0 * k / 23)) for k in range(1, 25)]
+        plus = _descend(sys_, [a1], pots, crash_side=+1)[:, 0].tolist()
+        minus = _descend(sys_, [a1], pots, crash_side=-1)[:, 0].tolist()
+        polys.append(tuple(reversed(minus)) + (pc.point,) + tuple(plus))
+    return polys
+
+
+@pytest.mark.parametrize("c", [-3.0, -5.0, -2.5, -2.1, -30.0])
+def test_skeleton_bit_equal_per_arc(c):
+    # arcs at one potential descend together; each polyline must be the
+    # one its arc's own descents give
+    sys_ = GreenSystem.from_c(c)
+    polys = [arc.polyline for arc in skeleton(sys_, 5)]
+    assert np.array(polys).view(np.int64).tolist() == \
+        np.array(_skeleton_per_arc(sys_, 5)).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("c", [1 + 1j])

@@ -73,6 +73,10 @@ MUTANTS = (
     Mutant("point_precritical_guard_off", POT,
            "    near = np.abs(dzs) <= guard",
            "    near = np.abs(dzs) < 0.0"),
+    # a float batch keeps `_ray_angle` wherever a ray may crash
+    Mutant("float_screen_off", POT,
+           "    return None if crash.any() else t",
+           "    return t"),
     # a target exactly at an access's crash potential is RayCrash
     Mutant("crash_potential_off", POT,
            "    at_crash = any(abs(g - gp) <= sys.tol for g in targets)",
